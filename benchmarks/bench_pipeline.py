@@ -6,13 +6,11 @@ everything), (b) 10k-row forest/tree inference with the seed
 per-row loops vs the vectorized implementations, (c) the
 :mod:`repro.api` serving path — model-artifact load latency and
 single-prediction latency for the tree and forest families — and
-(d) the persistent scoring daemon: round-trip latency and rows/sec
-over a Unix socket at 1/4/16 concurrent clients plus one-connection
-batched throughput, and (e) the multi-model fleet daemon
-(:mod:`repro.api.fleet`): the same single-row levels against the
-event-loop transport with adaptive micro-batching, a two-model mixed
-level, and the speedup over the unbatched daemon measured in the same
-run (each level best-of-``LEVEL_REPEATS``), plus (f) the **pipelined
+(e) the multi-model fleet daemon (:mod:`repro.api.fleet`): round-trip
+latency and rows/sec over a Unix socket at 1/4/16 concurrent
+single-row clients against the event-loop transport with adaptive
+micro-batching, a two-model mixed level and one-connection batched
+throughput (each level best-of-``LEVEL_REPEATS``), plus (f) the **pipelined
 client** — sequential vs windowed in-flight single rows on one
 connection, alternating rounds in the same time window — and (g)
 **sharded serving** at 1/2/4 shard processes behind one unix
@@ -164,112 +162,6 @@ def bench_model_io(loads: int = 20, predictions: int = 500) -> dict:
 LEVEL_REPEATS = 2
 
 
-def bench_daemon(concurrencies=(1, 4, 16), requests_per_client: int = 200,
-                 batch_rows: int = 10_000) -> dict:
-    """Daemon round-trip latency and throughput under concurrency.
-
-    Starts one :class:`repro.api.ScoringDaemon` on a Unix socket (model
-    loaded exactly once), then for each concurrency level runs N client
-    threads each sending *requests_per_client* single-row requests over
-    its own :class:`repro.api.ScoringClient` connection.  Records the
-    round-trip latency distribution and aggregate rows/sec (best of
-    :data:`LEVEL_REPEATS` runs), plus the one-connection batched
-    throughput at *batch_rows* rows.
-    """
-    import threading
-
-    from repro.api import (
-        Classifier,
-        ReproConfig,
-        ScoringClient,
-        ScoringDaemon,
-    )
-    from repro.dataset.registry import get_kernel_spec
-
-    specs = [get_kernel_spec(name)
-             for name in ("gemm", "atax", "fir", "stream_triad")]
-    workdir = tempfile.mkdtemp(prefix="bench_daemon_")
-    results: dict = {"transport": "unix",
-                     "requests_per_client": requests_per_client,
-                     "levels": []}
-    try:
-        dataset = build_dataset("unit", specs=specs,
-                                cache_dir=os.path.join(workdir, "sim"))
-        clf = Classifier(ReproConfig(profile="unit")).train(dataset)
-        X = dataset.matrix(clf.feature_names_)
-        rows = [list(map(float, row)) for row in X]
-        socket_path = os.path.join(workdir, "bench.sock")
-        daemon = ScoringDaemon(clf, socket_path=socket_path,
-                               workers=max(concurrencies))
-        with daemon:
-            # warm-up: one connection, a few requests
-            with ScoringClient(socket_path=socket_path) as client:
-                for row in rows[:4]:
-                    client.predict(row)
-
-            def run_level(n_clients: int) -> dict:
-                latencies: list = []
-                lock = threading.Lock()
-
-                def worker() -> None:
-                    local: list = []
-                    with ScoringClient(socket_path=socket_path) as cl:
-                        for i in range(requests_per_client):
-                            row = rows[i % len(rows)]
-                            start = time.perf_counter()
-                            cl.predict(row)
-                            local.append(time.perf_counter() - start)
-                    with lock:
-                        latencies.extend(local)
-
-                threads = [threading.Thread(target=worker)
-                           for _ in range(n_clients)]
-                wall_start = time.perf_counter()
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                wall = time.perf_counter() - wall_start
-                lat_us = np.sort(np.asarray(latencies)) * 1e6
-                total = n_clients * requests_per_client
-                return {
-                    "clients": n_clients,
-                    "requests": total,
-                    "round_trip_us_p50": round(
-                        float(np.percentile(lat_us, 50)), 1),
-                    "round_trip_us_p99": round(
-                        float(np.percentile(lat_us, 99)), 1),
-                    "rows_per_sec": round(total / wall, 1),
-                }
-
-            for n_clients in concurrencies:
-                results["levels"].append(max(
-                    (run_level(n_clients)
-                     for _ in range(LEVEL_REPEATS)),
-                    key=lambda level: level["rows_per_sec"]))
-
-            # batched: one connection, one request, many rows
-            reps = max(1, -(-batch_rows // len(rows)))
-            big = (rows * reps)[:batch_rows]
-            with ScoringClient(socket_path=socket_path) as client:
-                client.predict_batch(big[:64])  # warm-up
-                start = time.perf_counter()
-                preds = client.predict_batch(big)
-                batch_s = time.perf_counter() - start
-            if preds != [int(p) for p in clf.predict_batch(
-                    np.asarray(big))]:
-                raise AssertionError("daemon batch predictions diverge "
-                                     "from the local classifier")
-            results["batched"] = {
-                "rows": len(big),
-                "seconds": round(batch_s, 4),
-                "rows_per_sec": round(len(big) / batch_s, 1),
-            }
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return results
-
-
 def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
                 batch_rows: int = 10_000) -> dict:
     """Fleet-daemon throughput: micro-batched single rows, two models.
@@ -278,20 +170,14 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
     variant from one event-loop fleet daemon and measures (a) per-level
     single-row round trips against the default model at 1/4/16
     concurrent clients, (b) a mixed level routing half the clients to
-    the forest via the ``model`` field, (c) one-connection batched
-    throughput, and (d) the headline acceptance number: an
-    **interleaved paired comparison** against an unbatched thread-pool
-    daemon serving the same model at max concurrency — alternating
-    measurement rounds against both daemons in the same time window,
-    so the recorded speedup is robust to the load drift of a shared
-    box.  Every wire prediction is asserted byte-identical to the
-    matching local ``predict_batch``.
+    the forest via the ``model`` field and (c) one-connection batched
+    throughput.  Every wire prediction is asserted byte-identical to
+    the matching local ``predict_batch``.
     """
     import threading
 
     from repro.api import (
         Classifier,
-        MicroBatcher,
         ModelFleet,
         ModelPool,
         ReproConfig,
@@ -324,9 +210,7 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
 
         pool = ModelPool(loader=loader, default_tag="unit")
         pool.add(forest, key=forest_spec)
-        fleet = ModelFleet(pool, MicroBatcher(max_batch=64,
-                                              max_delay_us=1000),
-                           default=tree)
+        fleet = ModelFleet(pool, max_batch=64, default=tree)
 
         rows_of = {}
         expected = {}
@@ -339,9 +223,8 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
         daemon = ScoringDaemon(fleet=fleet, socket_path=socket_path,
                                workers=8)
 
-        def hammer(n_clients, model_of_slot, path=None) -> tuple:
+        def hammer(n_clients, model_of_slot) -> tuple:
             """N single-row clients; returns (rows/sec, p50us, p99us)."""
-            endpoint = path if path is not None else socket_path
             latencies: list = []
             errors: list = []
             lock = threading.Lock()
@@ -351,7 +234,7 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
                 rows, want = rows_of[spec], expected[spec]
                 local: list = []
                 try:
-                    with ScoringClient(socket_path=endpoint) as client:
+                    with ScoringClient(socket_path=socket_path) as client:
                         for i in range(requests_per_client):
                             row = rows[i % len(rows)]
                             start = time.perf_counter()
@@ -433,38 +316,12 @@ def bench_fleet(concurrencies=(1, 4, 16), requests_per_client: int = 200,
                 "seconds": round(batch_s, 4),
                 "rows_per_sec": round(len(big) / batch_s, 1),
             }
-
-            # -- the acceptance number: paired, interleaved ------------
-            plain_path = os.path.join(workdir, "plain.sock")
-            plain = ScoringDaemon(tree, socket_path=plain_path,
-                                  workers=max(concurrencies))
-            mixed = max(concurrencies)
-            with plain:
-                default_model = lambda slot: None  # noqa: E731
-                hammer(mixed, default_model, plain_path)  # warm-up
-                rounds = 5
-                unbatched_runs, fleet_runs = [], []
-                for _ in range(rounds):
-                    unbatched_runs.append(
-                        hammer(mixed, default_model, plain_path)[0])
-                    fleet_runs.append(
-                        hammer(mixed, default_model, socket_path)[0])
-                unbatched = sorted(unbatched_runs)[rounds // 2]
-                batched_rps = sorted(fleet_runs)[rounds // 2]  # medians
-                results["paired_single_row"] = {
-                    "clients": mixed,
-                    "unbatched_rows_per_sec": unbatched,
-                    "fleet_rows_per_sec": batched_rps,
-                    "speedup": round(batched_rps / unbatched, 2),
-                    "rounds": rounds,
-                }
         loop_stats = daemon.stats().get("loop", {})
         results["coalescing"] = {
             "mean_fast_batch": loop_stats.get("mean_fast_batch"),
             "largest_fast_batch": loop_stats.get("largest_fast_batch"),
             "max_batch": loop_stats.get("max_batch"),
         }
-        fleet.close()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     return results
@@ -485,7 +342,6 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
     """
     from repro.api import (
         Classifier,
-        MicroBatcher,
         ModelFleet,
         ReproConfig,
         ScoringClient,
@@ -496,7 +352,6 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
     specs = [get_kernel_spec(name)
              for name in ("gemm", "atax", "fir", "stream_triad")]
     workdir = tempfile.mkdtemp(prefix="bench_pipelined_")
-    fleet = None
     try:
         dataset = build_dataset("unit", specs=specs,
                                 cache_dir=os.path.join(workdir, "sim"))
@@ -508,9 +363,7 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
         expected = [int(p) for p in clf.predict_batch(np.asarray(rows))]
 
         socket_path = os.path.join(workdir, "pipe.sock")
-        fleet = ModelFleet(batcher=MicroBatcher(max_batch=window,
-                                                max_delay_us=1000),
-                           default=clf)
+        fleet = ModelFleet(max_batch=window, default=clf)
         daemon = ScoringDaemon(fleet=fleet, socket_path=socket_path,
                                workers=4)
 
@@ -549,8 +402,6 @@ def bench_pipelined(requests: int = 2000, window: int = 64,
             "speedup": round(pipelined / sequential, 2),
         }
     finally:
-        if fleet is not None:
-            fleet.close()  # stop the batcher thread even on failure
         shutil.rmtree(workdir, ignore_errors=True)
 
 
@@ -933,7 +784,6 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
         CODEC_BINARY_V2,
         CODEC_JSON,
         Classifier,
-        MicroBatcher,
         ModelFleet,
         ReproConfig,
         ScoringClient,
@@ -944,7 +794,6 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
     specs = [get_kernel_spec(name)
              for name in ("gemm", "atax", "fir", "stream_triad")]
     workdir = tempfile.mkdtemp(prefix="bench_stream_")
-    fleet = None
     codecs = (CODEC_JSON, CODEC_BINARY, CODEC_BINARY_V2)
     try:
         dataset = build_dataset("unit", specs=specs,
@@ -962,9 +811,7 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
         expected_big = [int(p) for p in clf.predict_batch(big)]
 
         socket_path = os.path.join(workdir, "stream.sock")
-        fleet = ModelFleet(batcher=MicroBatcher(max_batch=window,
-                                                max_delay_us=1000),
-                           default=clf)
+        fleet = ModelFleet(max_batch=window, default=clf)
         daemon = ScoringDaemon(fleet=fleet, socket_path=socket_path,
                                workers=4)
 
@@ -1026,8 +873,6 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
                 batched[CODEC_BINARY_V2] / batched[CODEC_BINARY], 2),
         }
     finally:
-        if fleet is not None:
-            fleet.close()
         shutil.rmtree(workdir, ignore_errors=True)
 
 
@@ -1322,8 +1167,8 @@ def main(argv=None) -> int:
     parser.add_argument("--skip-build", action="store_true",
                         help="only run the inference benchmark")
     parser.add_argument("--daemon-requests", type=int, default=200,
-                        help="single-row requests per daemon client "
-                             "(default 200)")
+                        help="single-row requests per fleet-daemon "
+                             "client (default 200)")
     parser.add_argument("--obs-only", action="store_true",
                         help="run only the telemetry-overhead leg and "
                              "merge its 'obs' section into --output")
@@ -1409,18 +1254,6 @@ def main(argv=None) -> int:
               f"predict {io_stats['predict_us']} us "
               f"({io_stats['artifact_kb']} KiB)")
 
-    print("daemon round-trip latency / throughput ...", flush=True)
-    results["daemon"] = bench_daemon(
-        requests_per_client=args.daemon_requests)
-    for level in results["daemon"]["levels"]:
-        print(f"  {level['clients']:>2} client(s): "
-              f"p50 {level['round_trip_us_p50']} us, "
-              f"p99 {level['round_trip_us_p99']} us, "
-              f"{level['rows_per_sec']} rows/s")
-    batched = results["daemon"]["batched"]
-    print(f"  batched   : {batched['rows']} rows in "
-          f"{batched['seconds']} s ({batched['rows_per_sec']} rows/s)")
-
     print("fleet daemon (event loop + micro-batching, 2 models) ...",
           flush=True)
     results["fleet"] = bench_fleet(
@@ -1436,23 +1269,6 @@ def main(argv=None) -> int:
     fbatched = results["fleet"]["batched"]
     print(f"  batched   : {fbatched['rows']} rows in "
           f"{fbatched['seconds']} s ({fbatched['rows_per_sec']} rows/s)")
-    # per-level ratios against the (minutes-earlier) daemon section are
-    # indicative; the headline acceptance number is the interleaved
-    # paired comparison bench_fleet measured in one time window
-    speedups = {}
-    for fleet_level, daemon_level in zip(results["fleet"]["levels"],
-                                         results["daemon"]["levels"]):
-        assert fleet_level["clients"] == daemon_level["clients"]
-        speedups[str(fleet_level["clients"])] = round(
-            fleet_level["rows_per_sec"] / daemon_level["rows_per_sec"],
-            2)
-    results["fleet"]["speedup_vs_unbatched_daemon"] = speedups
-    print(f"  speedup vs unbatched daemon (cross-section): {speedups}")
-    paired = results["fleet"]["paired_single_row"]
-    print(f"  paired @{paired['clients']} clients (interleaved): "
-          f"unbatched {paired['unbatched_rows_per_sec']} rows/s, "
-          f"fleet {paired['fleet_rows_per_sec']} rows/s "
-          f"-> {paired['speedup']}x")
 
     print("pipelined client vs sequential (interleaved paired) ...",
           flush=True)
@@ -1488,12 +1304,6 @@ def main(argv=None) -> int:
               f"p50 {variant['single_round_trip_us_p50']} us "
               f"({variant['speedup_vs_json_reference']}x vs "
               f"json+reference)")
-    best = results["codec_backend"]["variants"][-1]
-    ref_batched = results["daemon"]["batched"]["rows_per_sec"]
-    ratio = round(best["batched_rows_per_sec"] / ref_batched, 2)
-    results["codec_backend"]["speedup_vs_daemon_batched"] = ratio
-    print(f"  binary+compiled vs daemon batched "
-          f"({ref_batched} rows/s): {ratio}x")
 
     status = _run_stream_leg(results, args.stream_floor)
     status |= _run_obs_leg(results, args.obs_budget)

@@ -24,7 +24,6 @@ import tempfile
 from repro.api import (
     AdminClient,
     Classifier,
-    MicroBatcher,
     ModelFleet,
     ModelPool,
     ReproConfig,
@@ -62,7 +61,7 @@ def main() -> None:
         # -- pool them behind one daemon -------------------------------
         pool = ModelPool(loader=lambda key: trained[key.spec],
                          default_tag="unit", max_models=8)
-        fleet = ModelFleet(pool, MicroBatcher(max_batch=32),
+        fleet = ModelFleet(pool, max_batch=32,
                            default=trained.pop(default_spec))
         for spec in list(trained):
             pool.add(trained[spec], key=spec)
@@ -101,7 +100,6 @@ def main() -> None:
                 except ScoringError as exc:
                     print(f"unknown variant answers a typed frame: "
                           f"code={exc.code!r}")
-        fleet.close()
         print("\ndaemon stopped cleanly; socket unlinked")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

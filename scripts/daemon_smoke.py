@@ -66,7 +66,6 @@ from repro.api import (  # noqa: E402
     CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
-    MicroBatcher,
     ModelFleet,
     ModelPool,
     ReproConfig,
@@ -162,11 +161,7 @@ def _storm_fleet_factory(paths: dict):
             raise FleetError(f"unexpected lazy load of {key.spec!r}")
 
     pool = ModelPool(loader=loader, default_tag="unit")
-    return ModelFleet(
-        pool,
-        MicroBatcher(max_batch=16, max_delay_us=1000),
-        default=variants[TREE_SPEC],
-    )
+    return ModelFleet(pool, max_batch=16, default=variants[TREE_SPEC])
 
 
 def kill_storm(args, workdir: str) -> int:
@@ -424,11 +419,7 @@ def main(argv=None) -> int:
 
         pool = ModelPool(loader=loader, default_tag="unit")
         pool.add(forest, key=FOREST_SPEC)
-        fleet = ModelFleet(
-            pool,
-            MicroBatcher(max_batch=args.max_batch, max_delay_us=1000),
-            default=tree,
-        )
+        fleet = ModelFleet(pool, max_batch=args.max_batch, default=tree)
 
         socket_path = os.path.join(workdir, "repro.sock")
         results: list = [None] * args.clients
@@ -497,7 +488,6 @@ def main(argv=None) -> int:
         # post-stop read: stop() drains the pool, so every connection
         # handler has finished its bookkeeping by now
         stats = daemon.stats()
-        fleet.close()
 
         if errors:
             raise errors[0]
@@ -551,11 +541,7 @@ def main(argv=None) -> int:
         # one fleet daemon at once; the v2 client must travel as
         # multi-row stream frames (asserted via the server counters)
         # and all three must come back byte-identical
-        pipe_fleet = ModelFleet(
-            ModelPool(),
-            MicroBatcher(max_batch=args.max_batch, max_delay_us=1000),
-            default=tree,
-        )
+        pipe_fleet = ModelFleet(ModelPool(), max_batch=args.max_batch, default=tree)
         pipe_path = os.path.join(workdir, "pipelined.sock")
         pipe_codecs = (CODEC_JSON, CODEC_BINARY, CODEC_BINARY_V2)
         pipe_rows = rows_of[None]
@@ -596,7 +582,6 @@ def main(argv=None) -> int:
                 )
             with AdminClient(socket_path=pipe_path) as admin:
                 pipe_server = admin.stats()["server"]
-        pipe_fleet.close()
         if pipe_errors:
             raise pipe_errors[0]
         for slot, codec in enumerate(pipe_codecs):

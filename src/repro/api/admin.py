@@ -6,15 +6,15 @@
 results (:class:`ShardHealth`, :class:`ModelListing` /
 :class:`ModelInfo`, :class:`FleetStats`) instead of raw protocol
 dicts.  The scoring verbs stay on
-:class:`repro.api.client.ScoringClient`; its historical admin methods
-survive as delegating shims that emit ``DeprecationWarning``.
+:class:`repro.api.client.ScoringClient`.
 
 An ``AdminClient`` either *borrows* an existing ``ScoringClient``
 (``AdminClient(client)`` — the caller keeps ownership and the admin
 wrapper never closes it) or *owns* a fresh one
 (``AdminClient(socket_path=...)`` / ``AdminClient(tcp=...)`` — closed
-by :meth:`close` / the context manager).  Borrowing is what the
-deprecated shims use; owning is what operational tooling wants::
+by :meth:`close` / the context manager).  Borrowing suits code that
+already scores over a connection; owning is what operational tooling
+wants::
 
     with AdminClient(socket_path="/tmp/repro.sock") as admin:
         admin.health().status          # "serving" | "draining"
@@ -22,9 +22,8 @@ deprecated shims use; owning is what operational tooling wants::
         admin.promote("forest:static-all")
         admin.drain()                  # graceful shard shutdown
 
-:func:`collect_stats` (moved here from :mod:`repro.api.shard`)
-aggregates the ``stats`` verb across every shard of a deployment into
-one :class:`FleetStats`.
+:func:`collect_stats` aggregates the ``stats`` verb across every shard
+of a deployment into one :class:`FleetStats`.
 """
 
 from __future__ import annotations
@@ -175,7 +174,7 @@ class FleetStats:
                    if isinstance(row, dict) and "error" not in row)
 
     def as_dict(self) -> dict:
-        """The historical :func:`repro.api.shard.collect_stats` shape."""
+        """The aggregate as a plain JSON-ready dict."""
         return {
             "shards": list(self.shards),
             "requests_served": self.requests_served,

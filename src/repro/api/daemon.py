@@ -2,19 +2,19 @@
 
 ``repro serve`` on stdin/stdout pays the model-load cost on every
 process start and serves exactly one client.  :class:`ScoringDaemon`
-keeps one fitted :class:`repro.api.Classifier` (or a whole
-:class:`repro.api.fleet.ModelFleet`) resident and serves the same
-protocol (see :mod:`repro.api.protocol`) to many concurrent clients
-over a Unix domain socket or a TCP endpoint.
+keeps a :class:`repro.api.fleet.ModelFleet` resident — or one fitted
+:class:`repro.api.Classifier`, served as a one-model fleet — and
+serves the same protocol (see :mod:`repro.api.protocol`) to many
+concurrent clients over a Unix domain socket or a TCP endpoint.
 
 The daemon owns the **endpoint lifecycle** only — binding, stale-socket
-reclaim, address reporting, unlinking on shutdown.  Actual serving is
-delegated to the unified transport core (:mod:`repro.api.transport`):
-a :class:`~repro.api.transport.RequestEngine` dispatches every request,
-behind either the thread-per-connection transport (single-model mode)
-or the selectors event loop with adaptive micro-batch coalescing
-(fleet mode).  Both transports emit byte-identical frames for the same
-requests because they share the engine.
+reclaim, address reporting, graceful drain, unlinking on shutdown.
+Actual serving is delegated to the transport core
+(:mod:`repro.api.transport`): a :class:`~repro.api.transport.RequestEngine`
+dispatches every request, behind the selectors
+:class:`~repro.api.transport.EventLoopServer` (one IO thread, adaptive
+coalescing of up to the fleet's ``max_batch`` rows, a worker pool for
+slow verbs).
 
 Typical embedding::
 
@@ -24,8 +24,7 @@ Typical embedding::
 
 or from the shell: ``repro serve --socket /tmp/repro.sock --workers 8``.
 
-**Fleet mode** swaps the single resident classifier for a model fleet —
-many resident models routed by the request's ``"model"`` field::
+Many resident models are routed by the request's ``"model"`` field::
 
     daemon = ScoringDaemon(fleet=fleet, socket_path="/tmp/repro.sock")
 
@@ -47,7 +46,6 @@ from repro.api.transport import (
     DEFAULT_WORKERS,
     EventLoopServer,
     RequestEngine,
-    ThreadedServer,
 )
 from repro.api.wire import DEFAULT_CODECS
 from repro.errors import DaemonError
@@ -93,12 +91,12 @@ def _reclaim_stale_unix_socket(path: str) -> None:
 class ScoringDaemon:
     """Serve one loaded scorer to many clients over a socket.
 
-    Exactly one scorer must be configured (``classifier`` or ``fleet``)
-    and exactly one transport: ``socket_path`` (a Unix domain socket)
-    or ``tcp`` (a ``(host, port)`` pair; port 0 binds an ephemeral
-    port, readable back from :attr:`address`).  ``workers`` bounds the
-    number of concurrently served connections (single-model mode) or
-    sizes the slow-verb pool (fleet mode).  ``reuse_port`` sets
+    Exactly one scorer must be configured (``classifier`` or ``fleet``;
+    ``fleet`` also accepts anything :class:`RequestEngine` does) and
+    exactly one transport: ``socket_path`` (a Unix domain socket) or
+    ``tcp`` (a ``(host, port)`` pair; port 0 binds an ephemeral port,
+    readable back from :attr:`address`).  ``workers`` sizes the
+    slow-verb pool.  ``reuse_port`` sets
     ``SO_REUSEPORT`` on TCP listeners so sharded daemons can share one
     port (see :mod:`repro.api.shard`); ``stats_extra`` contributes
     static sections (e.g. shard identity) to the ``{"cmd": "stats"}``
@@ -140,8 +138,10 @@ class ScoringDaemon:
             raise DaemonError(f"workers must be >= 1, got {workers}")
         if reuse_port and tcp is None:
             raise DaemonError("reuse_port applies to TCP endpoints only")
-        self.fleet = fleet
-        self.classifier = classifier
+        #: what the daemon serves; the first start replaces a bare
+        #: classifier with the one-model fleet the engine wraps it in,
+        #: so a restart serves the same fleet
+        self.scorer = fleet if fleet is not None else classifier
         self.socket_path = socket_path
         self.tcp = tuple(tcp) if tcp is not None else None
         self.workers = workers
@@ -157,7 +157,7 @@ class ScoringDaemon:
         ) not in ("0", "false", "off")
         self._listener: socket.socket | None = None
         self._engine: RequestEngine | None = None
-        self._server = None  # ThreadedServer | EventLoopServer
+        self._server: EventLoopServer | None = None
         self._last_server_stats: dict | None = None
         self._stopping = threading.Event()
         self._stop_lock = threading.Lock()  # drain thread vs owner stop
@@ -240,35 +240,23 @@ class ScoringDaemon:
             self._stopped.clear()
             self._draining.clear()
             self._listener = listener
-            scorer = (self.fleet if self.fleet is not None
-                      else self.classifier)
             self._engine = RequestEngine(
-                scorer, metrics=(None if self.metrics else False))
+                self.scorer, metrics=(None if self.metrics else False)
+            )
+            self.scorer = fleet = self._engine.fleet
             self._engine.drain_hook = self.request_drain
             for name, payload in self.stats_extra.items():
                 self._engine.add_stats_source(
                     name, lambda p=payload: dict(p))
-            if self.fleet is not None:
-                # fleet mode serves from the selectors event loop (one
-                # IO thread, adaptive request coalescing, a small
-                # worker pool for slow verbs)
-                batcher = getattr(self.fleet, "batcher", None)
-                max_batch = (batcher.max_batch if batcher is not None
-                             else 1)
-                if self._engine.obs is not None:
-                    pool = getattr(self.fleet, "pool", None)
-                    if pool is not None:
-                        pool.bind_metrics(self._engine.obs)
-                    if batcher is not None:
-                        batcher.bind_metrics(self._engine.obs)
-                server = EventLoopServer(
-                    self._engine, listener, workers=self.workers,
-                    max_batch=max_batch, codecs=self.codecs
-                )
-            else:
-                server = ThreadedServer(
-                    self._engine, listener, workers=self.workers,
-                    codecs=self.codecs)
+            if self._engine.obs is not None:
+                fleet.pool.bind_metrics(self._engine.obs)
+            server = EventLoopServer(
+                self._engine,
+                listener,
+                workers=self.workers,
+                max_batch=fleet.max_batch,
+                codecs=self.codecs,
+            )
             self._engine.add_stats_source("server", server.stats)
             self._server = server.start()
         return self
@@ -404,12 +392,11 @@ class ScoringDaemon:
             "active_connections": server_stats["active_connections"],
             "workers": self.workers,
         }
-        if "codec" in server_stats:
+        if "transport" in server_stats:
+            # served at least once: scorer is the engine's fleet now
             stats["codec"] = server_stats["codec"]
-        if self.fleet is not None:
-            if server_stats.get("transport") == "eventloop":
-                stats["loop"] = server_stats
-            stats["fleet"] = self.fleet.stats()
+            stats["loop"] = server_stats
+            stats["fleet"] = self.scorer.stats()
         return stats
 
 

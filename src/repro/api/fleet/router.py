@@ -16,51 +16,55 @@ surface)::
 
 A request naming a key the pool cannot serve answers a typed
 ``unknown_model`` error frame; a malformed key spec answers
-``bad_request``.  When a :class:`~repro.api.fleet.MicroBatcher` is
-attached, concurrent single-row ``{"features": ...}`` requests on the
-synchronous path are coalesced into ``predict_batch`` calls.
+``bad_request``.  Every other request is scored by the single-model
+handler :func:`repro.api.service.handle_request` against the resolved
+classifier.
 
-Serving transports do not call this class directly any more: the
-unified transport core (:mod:`repro.api.transport`) wraps a fleet in a
-:class:`~repro.api.transport.RequestEngine`, which routes scoring and
-model-admin verbs here and handles server-level concerns (framing,
-size guards, the ``stats`` verb, event-loop coalescing) itself.
+Serving transports do not call this class directly: the transport core
+(:mod:`repro.api.transport`) wraps a fleet in a
+:class:`~repro.api.transport.RequestEngine` (a bare classifier becomes
+a one-model fleet there), which routes scoring and model-admin verbs
+here and handles server-level concerns (framing, size guards, the
+``stats`` verb, event-loop coalescing up to :attr:`ModelFleet.max_batch`
+rows) itself.
 """
 
 from __future__ import annotations
 
+from repro.api import service as _service
 from repro.api.classifier import Classifier
-from repro.api.fleet.batching import MicroBatcher
 from repro.api.fleet.pool import ModelKey, ModelPool
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
-    ERROR_INTERNAL,
     ERROR_UNKNOWN_MODEL,
     error_frame,
     ok_frame,
     request_id,
 )
-from repro.api.service import handle_request as single_model_handle
-from repro.api.service import process_request_line
 from repro.errors import FleetError, ReproError
+
+#: default largest coalesced batch (rows per predict_batch call).
+DEFAULT_MAX_BATCH = 64
 
 
 class ModelFleet:
     """Route protocol requests across a :class:`ModelPool`.
 
     ``default`` (a fitted classifier) is admitted pinned as the pool's
-    default model; *batcher* enables micro-batching for single-row
-    feature requests.  The fleet plugs into
-    :class:`repro.api.daemon.ScoringDaemon` via its ``fleet=`` argument
-    and into stdio serving via :func:`repro.api.service.serve`.
+    default model.  *max_batch* bounds how many concurrent single-row
+    requests the daemon's event loop coalesces into one
+    ``predict_batch`` call (0 or 1 disables coalescing).  The fleet
+    plugs into :class:`repro.api.daemon.ScoringDaemon` via its
+    ``fleet=`` argument and into stdio serving via
+    :func:`repro.api.service.serve`.
     """
 
-    def __init__(self, pool: ModelPool | None = None,
-                 batcher: MicroBatcher | None = None,
+    def __init__(self, pool: ModelPool | None = None, *,
+                 max_batch: int = DEFAULT_MAX_BATCH,
                  default: Classifier | None = None,
                  default_key: ModelKey | str | None = None) -> None:
         self.pool = pool if pool is not None else ModelPool()
-        self.batcher = batcher
+        self.max_batch = int(max_batch)
         if default is not None:
             self.pool.add(default, key=default_key, default=True)
 
@@ -91,11 +95,6 @@ class ModelFleet:
         except FleetError as exc:
             raise ReproError(str(exc))  # malformed spec -> bad_request
 
-    def _batchable(self, request) -> bool:
-        return (self.batcher is not None and self.batcher.is_running
-                and "features" in request and "rows" not in request
-                and "kernel" not in request and request.get("cmd") is None)
-
     def handle_request(self, request) -> dict:
         """One decoded request to one response frame (synchronous)."""
         req_id = request_id(request)
@@ -106,20 +105,9 @@ class ModelFleet:
             if admin is not None:
                 return admin
             classifier = self._resolve(request)
-            if request.get("cmd") == "info":
-                return ok_frame({"info": classifier.info()}, req_id)
-            if self._batchable(request):
-                vector = classifier._vectorize(request["features"])
-                try:
-                    prediction = self.batcher.predict(classifier, vector)
-                except FleetError as exc:
-                    # overload/timeout/shutdown of the scheduler is a
-                    # server condition, not an unknown model
-                    return error_frame(ERROR_INTERNAL,
-                                       f"micro-batching unavailable: "
-                                       f"{exc}", req_id)
-                return ok_frame({"prediction": prediction}, req_id)
-            return single_model_handle(classifier, request)
+            # late-bound module attribute so tests (and embedders) can
+            # substitute the single-model handler
+            return _service.handle_request(classifier, request)
         except FleetError as exc:
             return error_frame(ERROR_UNKNOWN_MODEL, str(exc), req_id)
         except (ReproError, TypeError, ValueError) as exc:
@@ -166,17 +154,9 @@ class ModelFleet:
 
     def process_line(self, line: str) -> str | None:
         """Synchronous protocol turn (stdio serving, tests)."""
-        return process_request_line(line, self.handle_request)
+        return _service.process_request_line(line, self.handle_request)
 
-    # -- lifecycle / introspection -----------------------------------------
-
-    def close(self) -> None:
-        """Flush and stop the micro-batcher (the pool needs no teardown)."""
-        if self.batcher is not None:
-            self.batcher.close()
+    # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
-        stats = {"pool": self.pool.stats()}
-        if self.batcher is not None:
-            stats["batching"] = self.batcher.stats()
-        return stats
+        return {"pool": self.pool.stats()}

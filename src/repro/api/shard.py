@@ -166,7 +166,6 @@ def fleet_factory(
     models: tuple = (),
     preload: bool = False,
     max_batch: int | None = None,
-    max_delay_us: int | None = None,
     memory_budget_bytes: int | None = None,
     max_models: int | None = None,
     default=None,
@@ -180,22 +179,22 @@ def fleet_factory(
     here from *model_path* (a saved artifact) / the artifact cache for
     ``(profile, family, feature_set)``, training on a miss.  Extra
     *models* specs are warm pre-loaded (*on_preload* is called per
-    loaded key, for progress reporting).  ``max_batch`` <= 0 disables
-    micro-batching.  *backend* selects the execution backend every
-    model in the fleet runs on (default: compiled decision tables; see
+    loaded key, for progress reporting).  ``max_batch`` bounds the
+    event loop's request coalescing (default
+    :data:`repro.api.fleet.DEFAULT_MAX_BATCH`; <= 1 disables it).
+    *backend* selects the execution backend every model in the fleet
+    runs on (default: compiled decision tables; see
     :meth:`repro.api.Classifier.compile`).  Both serve paths assemble
     through this one function: the CLI calls it inline for a
     single-process fleet, and :class:`ShardManager` runs it
     (picklable, built-in defaults) inside every shard process so each
-    shard owns its own pool, batcher and event loop.
+    shard owns its own pool and event loop.
     """
     from repro.api.artifact_cache import load_or_train
     from repro.api.classifier import BACKEND_COMPILED, Classifier
     from repro.api.config import ReproConfig
     from repro.api.fleet import (
         DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_DELAY_US,
-        MicroBatcher,
         ModelFleet,
         ModelPool,
         cache_loader,
@@ -215,15 +214,9 @@ def fleet_factory(
                      memory_budget_bytes=memory_budget_bytes,
                      max_models=max_models,
                      default_tag=profile)
-    batcher = None
     if max_batch is None:
         max_batch = DEFAULT_MAX_BATCH
-    if max_delay_us is None:
-        max_delay_us = DEFAULT_MAX_DELAY_US
-    if max_batch > 0:
-        batcher = MicroBatcher(max_batch=max_batch,
-                               max_delay_us=max_delay_us)
-    fleet = ModelFleet(pool, batcher, default=default)
+    fleet = ModelFleet(pool, max_batch=max_batch, default=default)
     if models:
         keys = pool.preload([s for s in models if str(s).strip()])
         if on_preload is not None:
@@ -242,20 +235,14 @@ def _shard_main(factory, kind, endpoint, index, workers, ready,
 
     signal.signal(signal.SIGTERM, request_stop)
     signal.signal(signal.SIGINT, request_stop)
-    scorer = factory()
-    kwargs: dict = {}
-    if hasattr(scorer, "handle_request"):
-        kwargs["fleet"] = scorer
-    else:
-        kwargs["classifier"] = scorer
     daemon = ScoringDaemon(
+        fleet=factory(),
         socket_path=endpoint if kind == "unix" else None,
         tcp=endpoint if kind == "tcp" else None,
         workers=workers,
         reuse_port=(kind == "tcp"),
         stats_extra={"shard": {"index": index, "pid": os.getpid()}},
         codecs=codecs,
-        **kwargs,
     )
     # a {"cmd": "drain"} verb finishes in-flight work, stops the daemon
     # and then fires this hook: flip the same flag SIGTERM uses so the
@@ -274,8 +261,6 @@ def _shard_main(factory, kind, endpoint, index, workers, ready,
             pass
     finally:
         daemon.stop()
-        if hasattr(scorer, "close"):
-            scorer.close()
         log.info("exit")
 
 
@@ -621,22 +606,3 @@ class ShardManager:
         self._guard = guard
         self._bound_tcp = (host, guard.getsockname()[1])
 
-
-def collect_stats(base_path: str, timeout: float = 10.0) -> dict:
-    """Deprecated: use :func:`repro.api.admin.collect_stats`.
-
-    The aggregation moved onto the typed admin surface, which returns
-    a :class:`repro.api.admin.FleetStats`; this shim keeps the
-    historical dict shape (``FleetStats.as_dict()``) for one
-    deprecation cycle.
-    """
-    import warnings
-
-    from repro.api.admin import collect_stats as admin_collect_stats
-
-    warnings.warn(
-        "repro.api.shard.collect_stats() is deprecated; use "
-        "repro.api.admin.collect_stats()",
-        DeprecationWarning, stacklevel=2,
-    )
-    return admin_collect_stats(base_path, timeout=timeout).as_dict()

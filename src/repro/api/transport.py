@@ -1,34 +1,31 @@
-"""The unified transport core: one server stack, three thin adapters.
+"""The transport core: one dispatch engine, two thin adapters.
 
-Before this module existed the repo carried **three** parallel serving
-implementations — the stdio loop in :mod:`repro.api.service`, the
-thread-pool socket daemon in :mod:`repro.api.daemon`, and the selectors
-event loop in ``repro.api.fleet.eventloop`` — each re-implementing
-framing, dispatch and error handling around the shared codec.  This
-module is the single engine they all dispatch through now:
+Every serving path dispatches through one engine over one scorer type:
 
-* :class:`RequestEngine` — scorer-agnostic dispatch.  Wraps either a
-  fitted :class:`repro.api.Classifier` or a multi-model
-  :class:`repro.api.fleet.ModelFleet` behind one ``request -> frame``
-  surface, owns the protocol shell (decode, typed error frames, the
-  ``MAX_REQUEST_BYTES`` guard, ``internal`` catch-alls), the
-  server-level ``{"cmd": "stats"}`` admin verb, and the micro-batch
-  fast path (:meth:`RequestEngine.fast_path` /
-  :meth:`RequestEngine.execute_fast`) the event loop coalesces with.
-* :class:`LineSplitter` — newline framing over a raw byte stream with
-  the protocol's flood guard, shared by every socket transport.
-* :class:`ThreadedServer` — the thread-per-connection transport
-  (accept loop, worker semaphore, bounded backpressure through the
-  kernel listen backlog).
-* :class:`EventLoopServer` — the selectors transport (one IO thread,
-  adaptive request coalescing, a worker pool for slow verbs,
-  per-connection write buffers with ``EVENT_WRITE`` flow control).
-* :func:`serve_stdio` — the stdin/stdout loop behind ``repro serve``.
+* :class:`RequestEngine` — protocol dispatch over a
+  :class:`repro.api.fleet.ModelFleet` (a bare fitted
+  :class:`repro.api.Classifier` is wrapped as a one-model fleet here
+  and nowhere else).  It owns the protocol shell (decode, typed error
+  frames, the ``MAX_REQUEST_BYTES`` guard, ``internal`` catch-alls),
+  the server-level verbs (``stats`` / ``health`` / ``metrics`` /
+  ``drain``) and the coalescing fast paths the event loop batches
+  with: :meth:`RequestEngine.fast_path` /
+  :meth:`RequestEngine.execute_fast` for single rows and
+  :meth:`RequestEngine.stream_fast` /
+  :meth:`RequestEngine.execute_stream` for binary-v2 row blocks.
+* :class:`EventLoopServer` — the socket adapter behind every daemon
+  (one IO thread, adaptive request coalescing, a worker pool for slow
+  verbs, per-connection write buffers with ``EVENT_WRITE`` flow
+  control).
+* :func:`serve_stdio` — the stdin/stdout adapter behind ``repro
+  serve``.
+* :class:`LineSplitter` — newline framing with the protocol's flood
+  guard, as a standalone helper.
 
-All three adapters produce **byte-identical frames** for the same
-requests because every line funnels through the same engine;
-regression-tested in ``tests/test_transport.py``.  The transports own
-sockets and threads only — they never interpret a request themselves.
+Both adapters produce **byte-identical frames** for the same requests
+because every line funnels through the same engine; regression-tested
+in ``tests/test_transport.py``.  The adapters own sockets and threads
+only — they never interpret a request themselves.
 """
 
 from __future__ import annotations
@@ -45,12 +42,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.api import service as _service
+from repro.api.classifier import Classifier
+from repro.api.fleet import ModelFleet
 from repro.api.protocol import (
     ERROR_BAD_REQUEST,
     ERROR_DRAINING,
     ERROR_INTERNAL,
     MAX_REQUEST_BYTES,
-    encode_frame,
     error_frame,
     ok_frame,
     request_id,
@@ -63,10 +61,6 @@ from repro.api.wire import (
     CodecCounters,
     PredictStream,
     WireSession,
-    decode_json_raw,
-    flood_frame,
-    prediction_frame,
-    too_large_frame,
 )
 from repro.errors import FleetError, MLError
 from repro.obs import (
@@ -79,16 +73,8 @@ from repro.obs import (
 #: bytes read per ``recv`` on a readable connection.
 RECV_BYTES = 262144
 
-#: default worker count for the socket transports.
+#: default size of a daemon's slow-verb worker pool.
 DEFAULT_WORKERS = 16
-
-# the JSON wire shell moved to repro.api.wire when codecs became
-# pluggable; these modules-of-record aliases keep the historical names
-# importable (and the frames byte-identical)
-_prediction_frame = prediction_frame
-_too_large_frame = too_large_frame
-_flood_frame = flood_frame
-decode_raw = decode_json_raw
 
 
 class LineSplitter:
@@ -98,9 +84,10 @@ class LineSplitter:
     out.  When more than *max_bytes* accumulate without a newline the
     splitter flags :attr:`overflowed` — the stream cannot be
     resynchronized to a line boundary, so the owning transport answers
-    one typed ``too_large`` frame and drops the connection.  Shared by
-    both socket transports (and mirrored client-side by
-    :class:`repro.api.client.ScoringClient`'s response bound).
+    one typed ``too_large`` frame and drops the connection (the rule
+    :class:`repro.api.wire.WireSession` applies to JSON connections,
+    mirrored client-side by :class:`repro.api.client.ScoringClient`'s
+    response bound).
     """
 
     __slots__ = ("buf", "max_bytes", "overflowed")
@@ -126,19 +113,18 @@ class LineSplitter:
 
 
 class RequestEngine:
-    """Scorer-agnostic protocol dispatch: one engine, every transport.
+    """Protocol dispatch over one :class:`~repro.api.fleet.ModelFleet`.
 
-    *scorer* is either a fitted :class:`repro.api.Classifier` or any
-    object exposing ``handle_request(request) -> frame`` plus
-    ``stats()`` (duck-typed so :class:`repro.api.fleet.ModelFleet`
-    plugs in without an import cycle).  The engine owns:
+    *scorer* is a fleet, or a fitted :class:`repro.api.Classifier`,
+    which is served as a one-model fleet (``ModelFleet(default=...)``).
+    The engine owns:
 
     * request dispatch (:meth:`handle`), including the server-level
       ``{"cmd": "stats"}`` admin verb;
-    * the protocol shell for both text lines (:meth:`process_line`,
-      the stdio path) and raw byte lines (:meth:`process_raw`, the
-      socket paths) — size guard, typed ``invalid_json`` /
-      ``too_large`` / ``internal`` frames, blank-line skipping;
+    * the protocol shell for text lines (:meth:`process_line`, the
+      stdio path) and codec frames (:meth:`respond`) — size guard,
+      typed ``invalid_json`` / ``too_large`` / ``internal`` frames,
+      blank-line skipping;
     * the micro-batch fast path: :meth:`fast_path` classifies a
       decoded request as coalescible and :meth:`execute_fast` scores a
       coalesced chunk with per-row fallback, so batching behaves
@@ -153,14 +139,10 @@ class RequestEngine:
     """
 
     def __init__(self, scorer, metrics=None) -> None:
-        if hasattr(scorer, "handle_request"):
-            self.fleet = scorer
-            self.classifier = None
-            self._default_classifier = None  # primed lazily (pool peek)
-        else:
-            self.fleet = None
-            self.classifier = scorer
-            self._default_classifier = scorer
+        if isinstance(scorer, Classifier):
+            scorer = ModelFleet(default=scorer)
+        self.fleet = scorer
+        self._default_classifier = None  # pinned by prime() (pool peek)
         self._stats_sources: dict = {}
         #: the telemetry registry (see :mod:`repro.obs`): pass
         #: ``metrics=False`` to serve uninstrumented (the bench
@@ -199,8 +181,7 @@ class RequestEngine:
         stats: dict = {}
         for name, source in self._stats_sources.items():
             stats[name] = source()
-        if self.fleet is not None and hasattr(self.fleet, "stats"):
-            stats["fleet"] = self.fleet.stats()
+        stats["fleet"] = self.fleet.stats()
         return stats
 
     def health(self) -> dict:
@@ -387,11 +368,7 @@ class RequestEngine:
                 # (stdio, embedders) — which keeps speaking JSON
                 return ok_frame({"codec": CODEC_JSON},
                                 request_id(request))
-        if self.fleet is not None:
-            return self.fleet.handle_request(request)
-        # late-bound module attribute so tests (and embedders) can
-        # substitute the single-model handler
-        return _service.handle_request(self.classifier, request)
+        return self.fleet.handle_request(request)
 
     def process_line(self, line: str) -> str | None:
         """One protocol turn over a text line (the stdio path)."""
@@ -406,38 +383,14 @@ class RequestEngine:
         self.observe_request(request, CODEC_JSON, started)
         return frame
 
-    def process_raw(self, raw: bytes) -> str | None:
-        """One protocol turn over a raw byte line (the socket paths).
-
-        Framing through :func:`decode_raw`, so the frames produced are
-        byte-identical to :meth:`process_line` on the same content.
-        """
-        request, decode_error = decode_raw(raw)
-        if decode_error is not None:
-            return encode_frame(decode_error)
-        if request is None:
-            return None
-        started = time.perf_counter_ns() if self.obs is not None else 0
-        try:
-            response = encode_frame(self.handle(request))
-        except Exception as exc:
-            response = encode_frame(error_frame(ERROR_INTERNAL,
-                                                f"internal error: {exc}",
-                                                request_id(request)))
-        if started:
-            self.observe_request(request, CODEC_JSON, started,
-                                 bytes_in=len(raw),
-                                 bytes_out=len(response))
-        return response
-
     def respond(self, raw: bytes, wire: WireSession) -> bytes | None:
-        """One protocol turn over a de-framed frame (codec-aware).
+        """One synchronous protocol turn over a de-framed frame.
 
-        The socket transports' twin of :meth:`process_raw`: *wire*
-        decodes and encodes in the connection's negotiated codec and
-        absorbs the ``hello`` handshake.  On a never-negotiated (JSON)
-        connection the bytes produced are identical to
-        :meth:`process_raw` on the same line.
+        *wire* decodes and encodes in the connection's negotiated codec
+        and absorbs the ``hello`` handshake.  On a never-negotiated
+        (JSON) connection the bytes produced encode exactly what
+        :meth:`process_line` answers for the same line, and a binary-v2
+        stream block is scored exactly as the event loop scores it.
         """
         if self.obs is not None:
             return self._respond_observed(raw, wire)
@@ -447,7 +400,7 @@ class RequestEngine:
         if request is None:
             return None
         if type(request) is PredictStream:
-            return self.respond_stream(request)
+            return self._answer_stream(request)
         hello = wire.negotiate(request)
         if hello is not None:
             return hello
@@ -477,7 +430,7 @@ class RequestEngine:
         if request is None:
             return None
         if type(request) is PredictStream:
-            encoded = self.respond_stream(request)
+            encoded = self._answer_stream(request)
             self.observe_request(request, wire.codec.name, started,
                                  bytes_in=len(raw),
                                  bytes_out=len(encoded))
@@ -512,8 +465,7 @@ class RequestEngine:
         """Resolve the default model once (fleet pools pin it, so one
         lookup outlives the server — the per-request pool lock and LRU
         touch are reserved for requests that name a model)."""
-        if self.fleet is not None and hasattr(self.fleet, "pool"):
-            self._default_classifier = self.fleet.pool.peek(None)
+        self._default_classifier = self.fleet.pool.peek(None)
 
     def fast_path(self, request):
         """Classify a decoded request for coalesced batch scoring.
@@ -540,9 +492,7 @@ class RequestEngine:
                 "requests; retry on another shard",
                 req_id))
         spec = request.get("model")
-        if spec is None or self.fleet is None:
-            # single-model engines ignore the model field, exactly like
-            # the single-model handler they front
+        if spec is None:
             classifier = self._default_classifier
         else:
             try:
@@ -569,7 +519,7 @@ class RequestEngine:
                                              str(exc), req_id))
         return ("fast", classifier, req_id, vector)
 
-    def execute_fast(self, items, emit, wire_of=None) -> None:
+    def execute_fast(self, items, emit, wire_of) -> None:
         """Score coalesced fast-path rows; answer through *emit*.
 
         *items* are ``(token, req_id, classifier, vector)`` tuples
@@ -580,23 +530,14 @@ class RequestEngine:
         bad row cannot fail the others.
 
         *wire_of* maps a token to its :class:`WireSession` so each
-        answer is encoded in that connection's negotiated codec;
-        without it frames are encoded as JSON text (the legacy
-        contract, byte-identical to PR 5).
+        answer is encoded in that connection's negotiated codec.
         """
-        if wire_of is None:
-            def enc_frame(token, frame):
-                return encode_frame(frame)
+        def enc_frame(token, frame):
+            return wire_of(token).encode(frame)
 
-            def enc_pred(token, req_id, prediction):
-                return _prediction_frame(req_id, prediction)
-        else:
-            def enc_frame(token, frame):
-                return wire_of(token).encode(frame)
+        def enc_pred(token, req_id, prediction):
+            return wire_of(token).encode_prediction(req_id, prediction)
 
-            def enc_pred(token, req_id, prediction):
-                return wire_of(token).encode_prediction(req_id,
-                                                        prediction)
         tracer = self.tracer
         sampled = tracer is not None and tracer.sampling \
             and tracer.sample()
@@ -662,8 +603,7 @@ class RequestEngine:
                 "server is draining and accepts no new scoring "
                 "requests; retry on another shard"))
         classifier = self._default_classifier
-        if classifier is None and self.fleet is not None \
-                and hasattr(self.fleet, "pool"):
+        if classifier is None:
             # peek, never get: resolving the default must not block an
             # IO thread on an artifact load (prime() pins it at start)
             try:
@@ -759,41 +699,26 @@ class RequestEngine:
                 good_ids, good_predictions))
         return b"".join(chunks)
 
-    def respond_stream(self, stream: PredictStream) -> bytes:
-        """Answer one :class:`PredictStream` synchronously.
-
-        The threaded/inline twin of the event loop's coalesced stream
-        execution: same validation, same frames.  When the fleet runs
-        a live micro-batcher the block rides through it (coalescing
-        with other connections' rows — see
-        :meth:`repro.api.fleet.batching.MicroBatcher.submit_block`);
-        otherwise it scores inline.
-        """
+    def _answer_stream(self, stream: PredictStream) -> bytes:
+        """Answer one :class:`PredictStream` synchronously — the same
+        validation and coalesced execution the event loop runs, for a
+        batch of one block."""
         verdict = self.stream_fast(stream)
         if verdict[0] == "error":
             return b"".join(BINARY_V2_CODEC.encode_response(frame)
                             for frame in verdict[1])
-        classifier = verdict[1]
-        batcher = (getattr(self.fleet, "batcher", None)
-                   if self.fleet is not None else None)
-        try:
-            if batcher is not None and batcher.is_running:
-                predictions = batcher.predict_block(classifier,
-                                                    stream.rows)
-            else:
-                predictions = classifier.predict_batch(
-                    stream.rows.astype(np.float64))
-        except Exception:
-            return self._stream_fallback(stream, classifier)
-        return BINARY_V2_CODEC.encode_predictions_stream(stream.ids,
-                                                         predictions)
+        answers: list = []
+        self.execute_stream(
+            [(None, stream, verdict[1])],
+            lambda token, encoded, n_rows: answers.append(encoded))
+        return b"".join(answers)
 
 
 def serve_lines(process, stdin=None, stdout=None) -> int:
     """Drive a ``line -> response | None`` handler over stdio.
 
     THE stdio loop — both engine-backed serving (:func:`serve_stdio`)
-    and the legacy duck-typed ``process_line`` scorers of
+    and the duck-typed ``process_line`` scorers of
     :func:`repro.api.service.serve` run through it.
     """
     stdin = stdin if stdin is not None else sys.stdin
@@ -812,195 +737,6 @@ def serve_lines(process, stdin=None, stdout=None) -> int:
 def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
     """Serve JSON-lines requests until EOF; returns requests handled."""
     return serve_lines(engine.process_line, stdin, stdout)
-
-
-class ThreadedServer:
-    """Thread-per-connection transport over a bound, listening socket.
-
-    The PR 3 serving model, now a thin adapter: one acceptor thread, a
-    worker pool, and a semaphore slot per worker so excess clients wait
-    in the kernel listen backlog instead of an unbounded internal
-    queue.  Every line a connection delivers goes through
-    ``engine.process_raw`` — the same dispatch the event loop and the
-    stdio loop use.  Stopping the server closes the listener.
-    """
-
-    def __init__(self, engine: RequestEngine,
-                 listener: socket.socket,
-                 workers: int = DEFAULT_WORKERS,
-                 codecs=DEFAULT_CODECS) -> None:
-        self.engine = engine
-        self.listener = listener
-        self.workers = max(1, int(workers))
-        self.codecs = tuple(codecs)
-        self._pool: ThreadPoolExecutor | None = None
-        self._acceptor: threading.Thread | None = None
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        self._connections: set = set()
-        self._slots: threading.Semaphore | None = None
-        self._requests_served = 0
-        self._connections_served = 0
-        self._codec_counters = CodecCounters(self.codecs)
-
-    def start(self) -> "ThreadedServer":
-        # a bounded accept timeout guarantees the acceptor re-checks
-        # the stop flag even on platforms where closing a listener does
-        # not wake a blocked accept()
-        self.listener.settimeout(0.5)
-        # stream frames score the pinned default model and the metric
-        # handles resolve once — both off the per-request path
-        self.engine.prime()
-        self.engine.prime_observability(self.codecs)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-score",
-        )
-        self._slots = threading.Semaphore(self.workers)
-        self._acceptor = threading.Thread(
-            target=self._accept_loop,
-            name="repro-accept",
-            daemon=True,
-        )
-        self._acceptor.start()
-        return self
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Stop accepting, close live connections, drain the pool."""
-        self._stopping.set()
-        try:
-            # shutdown() (unlike close()) wakes a blocked accept() on
-            # Linux; the accept timeout covers platforms where it won't
-            self.listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        if self._acceptor is not None:
-            self._acceptor.join(timeout)
-            self._acceptor = None
-        with self._lock:
-            live = list(self._connections)
-        for conn in live:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def pause_accept(self) -> None:
-        """Stop accepting new connections; live sessions keep serving.
-
-        The transport half of a graceful drain: closing the listener
-        makes the acceptor thread exit while established
-        ``_serve_connection`` sessions keep answering (``stop()``
-        still joins everything afterwards).  One-way for this server
-        instance — a drained server is stopped, never resumed.
-        """
-        try:
-            self.listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "transport": "threads",
-                "requests_served": self._requests_served,
-                "connections_served": self._connections_served,
-                "active_connections": len(self._connections),
-                "workers": self.workers,
-                "codec": self._codec_counters.snapshot(),
-            }
-
-    def _accept_loop(self) -> None:
-        # a semaphore slot per worker: accept only when a worker can
-        # actually serve the connection
-        while not self._stopping.is_set():
-            if not self._slots.acquire(timeout=0.5):
-                continue  # all workers busy; re-check the stop flag
-            conn = None
-            while not self._stopping.is_set():
-                try:
-                    conn, _ = self.listener.accept()
-                    break
-                except socket.timeout:
-                    continue  # periodic stop-flag check
-                except OSError:
-                    break  # listener closed by stop()
-            if conn is None or self._stopping.is_set():
-                self._slots.release()
-                if conn is not None:
-                    conn.close()
-                break
-            with self._lock:
-                self._connections.add(conn)
-            self._pool.submit(self._serve_connection, conn)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        """One client session: read frames, answer frames, until EOF."""
-        wire = WireSession(self.codecs)
-        try:
-            while not self._stopping.is_set():
-                data = conn.recv(RECV_BYTES)
-                if not data:
-                    # EOF: answer a final JSON line the client sent
-                    # without a trailing newline (a shutdown(SHUT_WR)
-                    # client still reads the response) — stdio serving
-                    # does the same, keeping the paths byte-identical
-                    tail = wire.eof_tail()
-                    if tail is not None:
-                        self._answer(conn, wire, tail)
-                    break
-                wire.push(data)
-                while not wire.fatal:
-                    raw = wire.next_frame()
-                    if raw is None:
-                        break
-                    self._answer(conn, wire, raw)
-                if wire.fatal:
-                    # unrecoverable framing (a newline-less flood, an
-                    # oversized or malformed binary frame): answer the
-                    # parked typed error once, then drop the stream
-                    # (it cannot be resynchronized)
-                    farewell = wire.take_pending_error()
-                    if farewell is not None:
-                        conn.sendall(farewell)
-                        wire.count_out(len(farewell))
-                    break
-        except OSError:
-            pass  # client went away mid-session; nothing to answer
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-                self._connections_served += 1
-                self._codec_counters.fold(wire)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self._slots.release()
-
-    def _answer(self, conn: socket.socket, wire: WireSession,
-                raw: bytes) -> None:
-        # respond answers every failure mode itself (invalid frames,
-        # bad requests, internal errors with the request id preserved)
-        # — it does not raise
-        response = self.engine.respond(raw, wire)
-        if response is None:
-            return
-        conn.sendall(response)
-        wire.count_out(len(response))
-        with self._lock:
-            self._requests_served += 1
 
 
 class _Connection:
@@ -1023,8 +759,9 @@ class _Connection:
 class EventLoopServer:
     """Serve a :class:`RequestEngine` from one selectors IO thread.
 
-    Thread-per-connection serving spends most of each request's budget
-    on thread hand-offs, buffered-IO layers and GIL churn; this
+    The one socket adapter: every daemon serves through it.
+    Thread-per-connection serving would spend most of each request's
+    budget on thread hand-offs, buffered-IO layers and GIL churn; this
     transport removes the overhead instead of amortizing a slice of it:
 
     * **one IO thread** owns every socket: it accepts, reads, splits
@@ -1043,17 +780,15 @@ class EventLoopServer:
       queue and a self-pipe wake-up, and the loop writes them.
 
     *listener* is a bound, listening socket; stopping the server
-    closes it along with every accepted connection unless
-    ``close_listener=False`` leaves its lifetime to the caller.
+    closes it along with every accepted connection.  ``max_batch`` <= 1
+    disables coalescing (every fast-path row is scored alone).
     """
 
     def __init__(self, engine: RequestEngine, listener: socket.socket,
                  workers: int = 4, max_batch: int = 64,
-                 close_listener: bool = True,
                  codecs=DEFAULT_CODECS) -> None:
         self.engine = engine
         self.listener = listener
-        self.close_listener = close_listener
         self.codecs = tuple(codecs)
         self._codec_counters = CodecCounters(self.codecs)
         self.max_batch = max(1, int(max_batch))
@@ -1136,11 +871,10 @@ class EventLoopServer:
                 os.close(fd)
             except OSError:
                 pass
-        if self.close_listener:
-            try:
-                self.listener.close()
-            except OSError:
-                pass
+        try:
+            self.listener.close()
+        except OSError:
+            pass
 
     def pause_accept(self) -> None:
         """Stop accepting new connections; live sessions keep serving.
@@ -1517,13 +1251,10 @@ class EventLoopServer:
     def _stage(self, conn, encoded, sel, requests: int = 1) -> None:
         # loop-thread only (completions are staged by the loop after
         # draining the queue), so the counter needs no lock.  *encoded*
-        # is codec bytes; str is accepted for embedders still staging
-        # JSON text.  *requests* is how many protocol requests the blob
-        # answers (a stream response answers its whole row block)
+        # is codec bytes; *requests* is how many protocol requests the
+        # blob answers (a stream response answers its whole row block)
         if conn.closed:
             return
-        if isinstance(encoded, str):
-            encoded = encoded.encode("utf-8")
         conn.wbuf += encoded
         conn.wire.count_out(len(encoded))
         self._requests_served += requests

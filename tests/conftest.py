@@ -19,6 +19,11 @@ from repro.ir.expr import var
 from repro.ir.types import DType
 from repro.platform.config import ClusterConfig
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running test (a full campaign or example)")
+
+
 TINY_KERNELS = (
     "gemm", "atax", "fir", "stream_triad", "fpu_saturate",
     "bank_hammer", "critical_update", "trisolv", "histogram",

@@ -24,7 +24,6 @@ from repro.api import (
     Classifier,
     ModelFleet,
     ReproConfig,
-    RequestEngine,
     ScoringClient,
     ScoringDaemon,
     ShardManager,
@@ -117,14 +116,38 @@ class TestByteIdenticalAcrossTransports:
         assert [f["ok"] for f in decoded] == \
             [True, True, True, True, False, False, False, True]
 
-    def test_engine_process_raw_matches_process_line(
-            self, trained, tiny_dataset):
-        engine = RequestEngine(trained)
-        for line in _request_lines(trained, tiny_dataset):
-            assert engine.process_raw(line.encode("utf-8")) == \
-                engine.process_line(line + "\n")
-        assert engine.process_raw(b"   ") is None
-        assert engine.process_line("   \n") is None
+
+class TestOneDispatchPath:
+    def test_classifier_daemon_is_a_one_model_fleet(
+            self, trained, tiny_dataset, tmp_path, monkeypatch):
+        """A classifier-built daemon serves through the event loop over
+        a one-model fleet: byte-identical frames to an explicit fleet
+        daemon, and a request naming a model gets the fleet's answer."""
+        # an empty artifact cache: the named model cannot load
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "cache"))
+        lines = _request_lines(trained, tiny_dataset)
+        row = tiny_dataset.matrix(trained.feature_names_)[0]
+        named = json.dumps({"features": list(map(float, row)),
+                            "model": "forest:static-agg", "id": 9})
+
+        clf_path = str(tmp_path / "clf.sock")
+        daemon = ScoringDaemon(trained, socket_path=clf_path, workers=2)
+        with daemon:
+            clf_frames = _raw_exchange(clf_path, lines + [named])
+            with ScoringClient(socket_path=clf_path) as client:
+                server = AdminClient(client).stats()["server"]
+        assert server["transport"] == "eventloop"
+        assert daemon.stats()["loop"]["transport"] == "eventloop"
+
+        fleet_path = str(tmp_path / "fleet.sock")
+        with ScoringDaemon(fleet=ModelFleet(default=trained),
+                           socket_path=fleet_path, workers=2):
+            fleet_frames = _raw_exchange(fleet_path, lines + [named])
+
+        assert clf_frames == fleet_frames
+        answer = json.loads(clf_frames[-1])
+        assert answer["ok"] is False and answer["id"] == 9
+        assert answer["code"] == "unknown_model"
 
 
 class TestLineSplitter:
@@ -151,17 +174,6 @@ class TestStatsVerb:
         frame = json.loads(out.getvalue())
         assert frame["ok"] is True and frame["id"] == 9
         assert isinstance(frame["stats"], dict)
-
-    def test_threaded_daemon_stats(self, trained, unix_path):
-        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
-            with ScoringClient(socket_path=unix_path) as client:
-                client.info()
-                stats = AdminClient(client).stats()
-        server = stats["server"]
-        assert server["transport"] == "threads"
-        assert server["requests_served"] >= 1
-        assert server["connections_served"] >= 0
-        assert "fleet" not in stats
 
     def test_fleet_daemon_stats_carry_pool_and_loop(
             self, trained, tiny_dataset, unix_path):
@@ -593,20 +605,19 @@ class TestUnterminatedFinalLine:
             sock.shutdown(socket.SHUT_WR)
             return sock.makefile("rb").readline()
 
-    @pytest.mark.parametrize("mode", ["threads", "eventloop"])
+    @pytest.mark.parametrize("mode", ["eventloop"])
     def test_final_line_without_newline_is_answered(
             self, trained, mode, unix_path):
         """A client that half-closes after an unterminated final line
         still gets its response (PR 3 makefile behaviour, preserved
-        by both socket transports and matching stdio)."""
-        kwargs = ({"classifier": trained} if mode == "threads"
-                  else {"fleet": ModelFleet(default=trained)})
-        with ScoringDaemon(socket_path=unix_path, workers=2, **kwargs):
+        by the socket transport and matching stdio)."""
+        with ScoringDaemon(fleet=ModelFleet(default=trained),
+                           socket_path=unix_path, workers=2):
             frame = json.loads(self._half_close_exchange(
                 unix_path, b'{"cmd": "info", "id": 7}'))
         assert frame["ok"] is True and frame["id"] == 7
 
-    @pytest.mark.parametrize("mode", ["threads", "eventloop"])
+    @pytest.mark.parametrize("mode", ["eventloop"])
     def test_half_close_after_terminated_slow_request_is_answered(
             self, trained, tiny_dataset, mode, unix_path):
         """shutdown(SHUT_WR) right after a newline-terminated worker-
@@ -614,10 +625,9 @@ class TestUnterminatedFinalLine:
         connection closes (the event loop defers the close until every
         outstanding answer is staged and flushed)."""
         X = tiny_dataset.matrix(trained.feature_names_)
-        kwargs = ({"classifier": trained} if mode == "threads"
-                  else {"fleet": ModelFleet(default=trained)})
         payload = json.dumps({"rows": X[:4].tolist(), "id": 11}) + "\n"
-        with ScoringDaemon(socket_path=unix_path, workers=2, **kwargs):
+        with ScoringDaemon(fleet=ModelFleet(default=trained),
+                           socket_path=unix_path, workers=2):
             frame = json.loads(self._half_close_exchange(
                 unix_path, payload.encode("utf-8")))
         assert frame["ok"] is True and frame["id"] == 11

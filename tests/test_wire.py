@@ -310,10 +310,10 @@ class TestBinaryDaemon:
             self, trained, tiny_dataset, unix_path):
         """Acceptance: mixed JSON + binary clients on one fleet daemon
         produce identical predictions for f32-identical inputs."""
-        from repro.api.fleet import MicroBatcher, ModelFleet, ModelPool
+        from repro.api.fleet import ModelFleet, ModelPool
 
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
-        fleet = ModelFleet(ModelPool(), MicroBatcher(), default=trained)
+        fleet = ModelFleet(ModelPool(), max_batch=64, default=trained)
         with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=2):
             with ScoringClient(socket_path=unix_path) as json_client, \
                     ScoringClient(socket_path=unix_path,
@@ -525,9 +525,9 @@ class TestBinaryV2Daemon:
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
         kwargs: dict = {"classifier": trained}
         if fleet_mode:
-            from repro.api.fleet import MicroBatcher, ModelFleet, ModelPool
+            from repro.api.fleet import ModelFleet, ModelPool
 
-            kwargs = {"fleet": ModelFleet(ModelPool(), MicroBatcher(),
+            kwargs = {"fleet": ModelFleet(ModelPool(), max_batch=64,
                                           default=trained)}
         # three concurrent clients: the threaded transport parks one
         # worker thread per live connection
@@ -550,10 +550,10 @@ class TestBinaryV2Daemon:
             self, trained, tiny_dataset, unix_path):
         """The coalesced zero-decode path actually runs: a pipelined v2
         window must arrive as a few multi-row frames, not row frames."""
-        from repro.api.fleet import MicroBatcher, ModelFleet, ModelPool
+        from repro.api.fleet import ModelFleet, ModelPool
 
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
-        fleet = ModelFleet(ModelPool(), MicroBatcher(), default=trained)
+        fleet = ModelFleet(ModelPool(), max_batch=64, default=trained)
         with ScoringDaemon(fleet=fleet, socket_path=unix_path,
                            workers=2):
             with ScoringClient(socket_path=unix_path,
