@@ -23,6 +23,16 @@ def test_tree_fit_dynamic(dataset, benchmark):
     assert tree.depth() >= 1
 
 
+def test_tree_fit_dynamic_reference(dataset, benchmark):
+    """The per-feature split search (re-sorts every feature at every
+    node) on the same matrix: the baseline for the presorted ``fit``."""
+    X = dataset.matrix(feature_names("dynamic"))
+    y = dataset.labels
+    tree = benchmark(lambda: DecisionTreeClassifier(random_state=0)
+                     ._fit_reference(X, y))
+    assert tree.depth() >= 1
+
+
 def test_tree_predict(dataset, benchmark):
     X = dataset.matrix(feature_names("static-all"))
     y = dataset.labels

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MLError
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, require_finite
 
 
 class RandomForestClassifier:
@@ -38,6 +38,8 @@ class RandomForestClassifier:
         y = np.asarray(y)
         if len(X) != len(y) or len(X) == 0:
             raise MLError("X and y must be non-empty and aligned")
+        # checked up front: a bootstrap sample could miss the bad rows
+        require_finite(X)
         rng = np.random.default_rng(self.random_state)
         self.classes_ = np.unique(y)
         self.trees_ = []
