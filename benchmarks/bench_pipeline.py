@@ -16,7 +16,7 @@ connection, alternating rounds in the same time window — and (g)
 **sharded serving** at 1/2/4 shard processes behind one unix
 endpoint, counts interleaved per round — and (h) the **wire codec x
 inference backend** matrix: json+reference, json+compiled and
-binary+compiled variants of the one-connection batched daemon path
+binary-v2+compiled variants of the one-connection batched daemon path
 (plus single-row p50), alternating variants inside each measurement
 round so the recorded ratios are paired — and (i) the **supervised
 churn** leg: a ShardSupervisor-managed fleet hammered quiet and with
@@ -640,7 +640,7 @@ def bench_codec_backend(batch_rows: int = 10_000, rounds: int = 5,
     ``compiled`` decision tables — and measures the one-connection
     batched path plus single-row round trips for three variants:
     json+reference (the PR 5 wire), json+compiled, and
-    binary+compiled (the negotiated length-prefixed codec).  All
+    binary-v2+compiled (the negotiated length-prefixed codec).  All
     variants run inside each measurement round, so the recorded
     ratios are paired on a shared box; medians per variant are
     recorded.  Rows are pre-rounded to the f32 grid the binary codec
@@ -651,7 +651,7 @@ def bench_codec_backend(batch_rows: int = 10_000, rounds: int = 5,
     from repro.api import (
         BACKEND_COMPILED,
         BACKEND_REFERENCE,
-        CODEC_BINARY,
+        CODEC_BINARY_V2,
         CODEC_JSON,
         Classifier,
         ReproConfig,
@@ -665,7 +665,7 @@ def bench_codec_backend(batch_rows: int = 10_000, rounds: int = 5,
     workdir = tempfile.mkdtemp(prefix="bench_codec_")
     variants = ((CODEC_JSON, BACKEND_REFERENCE),
                 (CODEC_JSON, BACKEND_COMPILED),
-                (CODEC_BINARY, BACKEND_COMPILED))
+                (CODEC_BINARY_V2, BACKEND_COMPILED))
     try:
         dataset = build_dataset("unit", specs=specs,
                                 cache_dir=os.path.join(workdir, "sim"))
@@ -762,25 +762,22 @@ def bench_codec_backend(batch_rows: int = 10_000, rounds: int = 5,
 
 
 def bench_stream_codec(requests: int = 4000, window: int = 64,
-                       rounds: int = 5,
-                       batch_rows: int = 10_000) -> dict:
+                       rounds: int = 5) -> dict:
     """Pipelined codec shootout on one fleet daemon, interleaved paired.
 
-    The binary-v2 acceptance bench: json, binary-v1 and binary-v2
-    clients pipeline the same single-row workload (``window`` in
-    flight) against one event-loop fleet daemon, alternating inside
-    each measurement round so the ratios are paired on a shared box.
+    The binary-v2 acceptance bench: json and binary-v2 clients
+    pipeline the same single-row workload (``window`` in flight)
+    against one event-loop fleet daemon, alternating inside each
+    measurement round so the ratio is paired on a shared box.
     binary-v2 flushes its window as packed multi-row stream frames the
-    server scores without decoding to Python floats; v1 and json send
-    one frame per row.  The batched verb is measured for both binary
-    codecs too — the streaming path must not tax the bulk path.
-    Medians per codec are recorded, and every wire prediction is
-    asserted identical to the local classifier (rows are pre-rounded
-    to the f32 grid, so all codecs score bit-identical inputs).
-    The acceptance bar is pipelined binary-v2 >= 2x pipelined json.
+    server scores without decoding to Python floats; json sends one
+    frame per row.  Medians per codec are recorded, and every wire
+    prediction is asserted identical to the local classifier (rows are
+    pre-rounded to the f32 grid, so both codecs score bit-identical
+    inputs).  The acceptance bar is pipelined binary-v2 >= 2x
+    pipelined json.
     """
     from repro.api import (
-        CODEC_BINARY,
         CODEC_BINARY_V2,
         CODEC_JSON,
         Classifier,
@@ -794,21 +791,18 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
     specs = [get_kernel_spec(name)
              for name in ("gemm", "atax", "fir", "stream_triad")]
     workdir = tempfile.mkdtemp(prefix="bench_stream_")
-    codecs = (CODEC_JSON, CODEC_BINARY, CODEC_BINARY_V2)
+    codecs = (CODEC_JSON, CODEC_BINARY_V2)
     try:
         dataset = build_dataset("unit", specs=specs,
                                 cache_dir=os.path.join(workdir, "sim"))
         clf = Classifier(ReproConfig(profile="unit")).train(dataset)
         X = dataset.matrix(clf.feature_names_)
-        # the f32 grid the binary codecs transport: all three variants
-        # must score bit-identical inputs
+        # the f32 grid the binary codec transports: both variants must
+        # score bit-identical inputs
         X = X.astype(np.float32).astype(np.float64)
         reps = max(1, -(-requests // len(X)))
         rows = np.tile(X, (reps, 1))[:requests]
-        reps = max(1, -(-batch_rows // len(X)))
-        big = np.tile(X, (reps, 1))[:batch_rows]
         expected_rows = [int(p) for p in clf.predict_batch(rows)]
-        expected_big = [int(p) for p in clf.predict_batch(big)]
 
         socket_path = os.path.join(workdir, "stream.sock")
         fleet = ModelFleet(max_batch=window, default=clf)
@@ -830,47 +824,23 @@ def bench_stream_codec(requests: int = 4000, window: int = 64,
                     f"{codec} pipelined predictions diverged")
             return round(len(rows) / wall, 1)
 
-        def run_batched(codec: str) -> float:
-            with ScoringClient(socket_path=socket_path,
-                               codec=codec) as client:
-                client.predict_batch(big[:64])  # warm-up
-                start = time.perf_counter()
-                got = client.predict_batch(big)
-                wall = time.perf_counter() - start
-            if got != expected_big:
-                raise AssertionError(
-                    f"{codec} batched predictions diverged")
-            return round(len(big) / wall, 1)
-
         pipe_runs: dict = {codec: [] for codec in codecs}
-        batch_runs: dict = {codec: [] for codec in codecs[1:]}
         with daemon:
             run_pipelined(CODEC_JSON)  # page everything in once
             for _ in range(rounds):
                 for codec in codecs:
                     pipe_runs[codec].append(run_pipelined(codec))
-                for codec in batch_runs:
-                    batch_runs[codec].append(run_batched(codec))
 
         pipelined = {codec: sorted(runs)[rounds // 2]
                      for codec, runs in pipe_runs.items()}
-        batched = {codec: sorted(runs)[rounds // 2]
-                   for codec, runs in batch_runs.items()}
         return {
             "transport": "unix",
             "requests": requests,
             "window": window,
             "rounds": rounds,
-            "batch_rows": len(big),
             "pipelined_rows_per_sec": pipelined,
-            "batched_rows_per_sec": batched,
             "stream_speedup_vs_json": round(
                 pipelined[CODEC_BINARY_V2] / pipelined[CODEC_JSON], 2),
-            "stream_speedup_vs_v1": round(
-                pipelined[CODEC_BINARY_V2] / pipelined[CODEC_BINARY],
-                2),
-            "batched_v2_vs_v1": round(
-                batched[CODEC_BINARY_V2] / batched[CODEC_BINARY], 2),
         }
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -906,7 +876,7 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
     against a ~50µs round trip and is stable end to end.
     """
     from repro.api import (
-        CODEC_BINARY,
+        CODEC_BINARY_V2,
         Classifier,
         ReproConfig,
         RequestEngine,
@@ -942,9 +912,9 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
             wire = WireSession()
             wire.push(json.dumps(
                 {"cmd": "hello",
-                 "codecs": [CODEC_BINARY]}).encode() + b"\n")
+                 "codecs": [CODEC_BINARY_V2]}).encode() + b"\n")
             engine.respond(wire.next_frame(), wire)
-            if wire.codec.name != CODEC_BINARY:
+            if wire.codec.name != CODEC_BINARY_V2:
                 raise AssertionError(
                     f"negotiated {wire.codec.name!r}, wanted binary")
             return engine, wire
@@ -1047,8 +1017,8 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
             try:
                 for variant in variants:
                     client = ScoringClient(socket_path=sockets[variant],
-                                           codec=CODEC_BINARY)
-                    if client.codec != CODEC_BINARY:
+                                           codec=CODEC_BINARY_V2)
+                    if client.codec != CODEC_BINARY_V2:
                         raise AssertionError(
                             f"negotiated {client.codec!r}, "
                             f"wanted binary")
@@ -1085,7 +1055,7 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
         e2e_single_pct = round(single_ratios[e2e_rounds // 2], 2)
         return {
             "transport": "unix",
-            "codec": "binary-v1",
+            "codec": CODEC_BINARY_V2,
             "backend": "compiled",
             "batch_rows": len(big),
             "single_requests": single_requests,
@@ -1101,30 +1071,19 @@ def bench_obs_overhead(batch_rows: int = 20_000, rounds: int = 21,
 
 def _run_stream_leg(results: dict, floor: float) -> int:
     """Run the stream-codec leg into *results*; 0 when over the bar."""
-    print("stream codec shootout, json vs binary-v1 vs binary-v2 "
+    print("stream codec shootout, json vs binary-v2 "
           "(interleaved paired) ...", flush=True)
     results["stream_codec"] = bench_stream_codec()
     stream = results["stream_codec"]
     for codec, rps in stream["pipelined_rows_per_sec"].items():
         print(f"  {codec:>9} pipelined: {rps} rows/s")
-    print(f"  binary-v2 vs json {stream['stream_speedup_vs_json']}x, "
-          f"vs binary-v1 {stream['stream_speedup_vs_v1']}x")
-    print(f"  batched: v1 "
-          f"{stream['batched_rows_per_sec']['binary-v1']} rows/s, v2 "
-          f"{stream['batched_rows_per_sec']['binary-v2']} rows/s "
-          f"({stream['batched_v2_vs_v1']}x)")
-    status = 0
+    print(f"  binary-v2 vs json {stream['stream_speedup_vs_json']}x")
     if stream["stream_speedup_vs_json"] < floor:
         print(f"  FAIL: pipelined binary-v2 is only "
               f"{stream['stream_speedup_vs_json']}x pipelined json, "
               f"the bar is {floor}x", file=sys.stderr)
-        status = 1
-    if stream["batched_v2_vs_v1"] < 0.9:
-        print(f"  FAIL: batched binary-v2 regressed to "
-              f"{stream['batched_v2_vs_v1']}x of binary-v1",
-              file=sys.stderr)
-        status = 1
-    return status
+        return 1
+    return 0
 
 
 def _run_obs_leg(results: dict, budget_pct: float) -> int:

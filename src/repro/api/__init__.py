@@ -34,7 +34,7 @@ model family, feature set)`` — bounded in age by
 
 Wire format and execution backend are both negotiated/pluggable:
 connections start as JSON-lines and may upgrade to the length-prefixed
-binary codec via a ``{"cmd": "hello"}`` handshake (see
+``binary-v2`` codec via a ``{"cmd": "hello"}`` handshake (see
 :mod:`repro.api.wire`), and loaded classifiers predict through
 compiled flat decision tables by default with a ``backend="reference"``
 opt-out (see :meth:`Classifier.compile`).
@@ -87,7 +87,6 @@ from repro.api.supervisor import (
 )
 from repro.api.transport import (
     EventLoopServer,
-    LineSplitter,
     RequestEngine,
     serve_stdio,
 )
@@ -112,26 +111,23 @@ from repro.api.registry import (
     register_model_family,
     resolve_feature_set,
 )
-from repro.api.protocol import (
-    ERROR_BAD_REQUEST,
-    ERROR_INTERNAL,
-    ERROR_INVALID_JSON,
-    error_frame,
-    ok_frame,
-)
 from repro.api.selection import (
     optimised_set,
     prune_by_importance,
     rank_features,
 )
-from repro.api.service import handle_request, process_line, serve
+from repro.api.service import handle_request, serve
 from repro.api.wire import (
-    CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
     DEFAULT_CODECS,
+    ERROR_BAD_REQUEST,
+    ERROR_INTERNAL,
+    ERROR_INVALID_JSON,
     WireSession,
+    error_frame,
     get_codec,
+    ok_frame,
 )
 
 __all__ = [
@@ -169,7 +165,6 @@ __all__ = [
     "BACKEND_COMPILED",
     "BACKEND_REFERENCE",
     "BACKENDS",
-    "CODEC_BINARY",
     "CODEC_BINARY_V2",
     "CODEC_JSON",
     "DEFAULT_CODECS",
@@ -179,7 +174,6 @@ __all__ = [
     "DEFAULT_WORKERS",
     "parse_tcp_endpoint",
     "EventLoopServer",
-    "LineSplitter",
     "RequestEngine",
     "serve_stdio",
     "ERROR_BAD_REQUEST",
@@ -187,7 +181,6 @@ __all__ = [
     "ERROR_INVALID_JSON",
     "error_frame",
     "ok_frame",
-    "process_line",
     "DEFAULT_TOLERANCES",
     "ReproConfig",
     "active_profile",

@@ -1,7 +1,7 @@
 """Wire client for the persistent scoring daemon.
 
-:class:`ScoringClient` speaks the JSON-lines protocol of
-:mod:`repro.api.protocol` over a Unix domain socket or TCP connection
+:class:`ScoringClient` speaks the scoring protocol of
+:mod:`repro.api.wire` over a Unix domain socket or TCP connection
 to a :class:`repro.api.daemon.ScoringDaemon`.  Every request is stamped
 with a monotonically increasing ``"id"`` and the response id is checked
 against it, so a desynchronized stream surfaces as a loud
@@ -15,7 +15,7 @@ fresh connection by default (``reconnect_retries``); requests are
 idempotent reads, so the retry is safe, and a daemon that stays down
 surfaces as one clean ``ScoringError(code="transport")`` — never a raw
 ``OSError``.  Response lines are bounded by
-:data:`repro.api.protocol.MAX_RESPONSE_BYTES`, mirroring the server's
+:data:`repro.api.wire.MAX_RESPONSE_BYTES`, mirroring the server's
 request guard, so a misbehaving server cannot grow the receive buffer
 without limit.
 
@@ -28,18 +28,17 @@ TCP endpoints need nothing: the kernel balances ``SO_REUSEPORT``
 listeners behind the one port.
 
 **Codecs** (see :mod:`repro.api.wire`): with ``codec="binary-v2"``
-(or ``"binary-v1"``) the client opens every (re)connection with a
-``{"cmd": "hello", "codecs": [...]}`` handshake and — when the server
-agrees — switches to the length-prefixed binary codec: feature rows
-travel as packed float32 arrays and predictions come back as packed
-ints, with every cold verb and error shape embedded as JSON frames
-inside the binary framing.  A ``binary-v2`` preference offers
-``["binary-v2", "binary-v1"]`` so older servers land on v1; servers
-that predate codecs (or were started JSON-only) answer the hello with
-an error or a ``json`` choice and the client simply stays on JSON —
-requesting a binary codec is always safe.  Reconnects re-negotiate
-from scratch and pending requests are re-encoded in whatever codec
-the new connection agreed to.
+the client opens every (re)connection with a
+``{"cmd": "hello", "codecs": ["binary-v2"]}`` handshake and — when the
+server agrees — switches to the length-prefixed binary codec: feature
+rows travel as packed float32 arrays and predictions come back as
+packed ints, with every cold verb and error shape embedded as JSON
+frames inside the binary framing.  Servers that predate codecs (or
+were started JSON-only) answer the hello with an error or a ``json``
+choice and the client simply stays on JSON — requesting a binary
+codec is always safe.  Reconnects re-negotiate from scratch and
+pending requests are re-encoded in whatever codec the new connection
+agreed to.
 
 **Pipelining**: :meth:`request_pipelined` /
 :meth:`predict_pipelined` keep up to ``window`` requests in flight on
@@ -65,7 +64,6 @@ live on the typed :class:`repro.api.admin.AdminClient` surface.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
@@ -73,14 +71,14 @@ from collections import deque
 
 import numpy as np
 
-from repro.api.protocol import ERROR_DRAINING, MAX_RESPONSE_BYTES
 from repro.api.wire import (
     BINARY_V2_CODEC,
-    CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
     CODECS,
+    ERROR_DRAINING,
     JSON_CODEC,
+    MAX_RESPONSE_BYTES,
 )
 from repro.errors import ScoringError
 
@@ -132,13 +130,6 @@ class ScoringClient:
                 code=ERROR_TRANSPORT,
             )
         self._codec_pref = codec
-        # the hello offer list, most-preferred first: asking for v2
-        # also offers v1 so an older server still upgrades the
-        # connection as far as it can
-        if codec == CODEC_BINARY_V2:
-            self._codec_offers = [CODEC_BINARY_V2, CODEC_BINARY]
-        else:
-            self._codec_offers = [codec]
         self._codec = JSON_CODEC  # pre-negotiation state
         self._socket_path = socket_path
         self._tcp = tuple(tcp) if tcp is not None else None
@@ -230,15 +221,14 @@ class ScoringClient:
         """
         req_id = self._next_id
         self._next_id += 1
-        hello = {"cmd": "hello", "codecs": list(self._codec_offers),
-                 "id": req_id}
+        hello = {"cmd": "hello", "codecs": [self._codec_pref], "id": req_id}
         self._sock.sendall(JSON_CODEC.encode_request(hello))
         line = self._recv_line()
         if not line:
             raise ConnectionResetError(
                 "connection closed during codec negotiation")
         try:
-            response = json.loads(line)
+            response = JSON_CODEC.decode_response(line)
         except ValueError:
             response = None
         if (isinstance(response, dict) and response.get("ok")
@@ -253,7 +243,7 @@ class ScoringClient:
         the buffered-text layer costs real microseconds on the
         daemon's hot single-row path.  Mirrors the server's request
         guard: a response growing past
-        :data:`~repro.api.protocol.MAX_RESPONSE_BYTES` without a
+        :data:`~repro.api.wire.MAX_RESPONSE_BYTES` without a
         newline tears the connection down and raises cleanly.
         """
         while True:

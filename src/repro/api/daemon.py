@@ -4,7 +4,7 @@
 process start and serves exactly one client.  :class:`ScoringDaemon`
 keeps a :class:`repro.api.fleet.ModelFleet` resident — or one fitted
 :class:`repro.api.Classifier`, served as a one-model fleet — and
-serves the same protocol (see :mod:`repro.api.protocol`) to many
+serves the same protocol (see :mod:`repro.api.wire`) to many
 concurrent clients over a Unix domain socket or a TCP endpoint.
 
 The daemon owns the **endpoint lifecycle** only — binding, stale-socket
@@ -102,7 +102,7 @@ class ScoringDaemon:
     static sections (e.g. shard identity) to the ``{"cmd": "stats"}``
     verb.  ``codecs`` is the ordered tuple of wire codec names the
     daemon offers during hello negotiation (see :mod:`repro.api.wire`);
-    the default offers the binary codec and falls back to JSON, and
+    the default offers ``binary-v2`` and falls back to JSON, and
     ``("json",)`` pins the daemon to JSON-lines only.
     """
 

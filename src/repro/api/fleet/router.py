@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.api import service as _service
 from repro.api.classifier import Classifier
 from repro.api.fleet.pool import ModelKey, ModelPool
-from repro.api.protocol import (
+from repro.api.wire import (
     ERROR_BAD_REQUEST,
     ERROR_UNKNOWN_MODEL,
     error_frame,
@@ -149,12 +149,6 @@ class ModelFleet:
                 f"cmd={request.get('cmd')!r} requires a 'model' key "
                 f"('family:feature_set[:dataset_tag]')")
         return spec
-
-    # -- protocol turns ----------------------------------------------------
-
-    def process_line(self, line: str) -> str | None:
-        """Synchronous protocol turn (stdio serving, tests)."""
-        return _service.process_request_line(line, self.handle_request)
 
     # -- introspection -----------------------------------------------------
 

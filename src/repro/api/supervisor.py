@@ -4,7 +4,7 @@
 around corpses" and "the fleet heals": it owns a
 :class:`repro.api.shard.ShardManager` operationally, health-checking
 every shard on an interval and respawning the dead, and it composes
-the drain protocol (see :data:`repro.api.protocol.ERROR_DRAINING`)
+the drain protocol (see :data:`repro.api.wire.ERROR_DRAINING`)
 into fleet-level operations:
 
 * **crash healing** — a shard whose process exited (or whose health

@@ -19,11 +19,10 @@ Every serving path dispatches through one engine over one scorer type:
   control).
 * :func:`serve_stdio` — the stdin/stdout adapter behind ``repro
   serve``.
-* :class:`LineSplitter` — newline framing with the protocol's flood
-  guard, as a standalone helper.
 
 Both adapters produce **byte-identical frames** for the same requests
-because every line funnels through the same engine; regression-tested
+because every frame funnels through the same engine and the same
+:class:`repro.api.wire.WireSession` protocol shell; regression-tested
 in ``tests/test_transport.py``.  The adapters own sockets and threads
 only — they never interpret a request themselves.
 """
@@ -41,26 +40,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.api import service as _service
 from repro.api.classifier import Classifier
 from repro.api.fleet import ModelFleet
-from repro.api.protocol import (
-    ERROR_BAD_REQUEST,
-    ERROR_DRAINING,
-    ERROR_INTERNAL,
-    MAX_REQUEST_BYTES,
-    error_frame,
-    ok_frame,
-    request_id,
-)
 from repro.api.wire import (
     BINARY_V2_CODEC,
     CODEC_JSON,
     DEFAULT_CODECS,
+    ERROR_BAD_REQUEST,
+    ERROR_DRAINING,
+    ERROR_INTERNAL,
     NO_ID,
     CodecCounters,
     PredictStream,
     WireSession,
+    error_frame,
+    ok_frame,
+    request_id,
 )
 from repro.errors import FleetError, MLError
 from repro.obs import (
@@ -77,41 +72,6 @@ RECV_BYTES = 262144
 DEFAULT_WORKERS = 16
 
 
-class LineSplitter:
-    """Newline framing over a byte stream, with the protocol flood guard.
-
-    Feed raw ``recv`` chunks in, get complete (newline-stripped) lines
-    out.  When more than *max_bytes* accumulate without a newline the
-    splitter flags :attr:`overflowed` — the stream cannot be
-    resynchronized to a line boundary, so the owning transport answers
-    one typed ``too_large`` frame and drops the connection (the rule
-    :class:`repro.api.wire.WireSession` applies to JSON connections,
-    mirrored client-side by :class:`repro.api.client.ScoringClient`'s
-    response bound).
-    """
-
-    __slots__ = ("buf", "max_bytes", "overflowed")
-
-    def __init__(self, max_bytes: int = MAX_REQUEST_BYTES) -> None:
-        self.buf = bytearray()
-        self.max_bytes = max_bytes
-        self.overflowed = False
-
-    def feed(self, data: bytes) -> list:
-        """Absorb *data*; return the complete lines it unlocked."""
-        self.buf += data
-        lines: list = []
-        while True:
-            idx = self.buf.find(b"\n")
-            if idx < 0:
-                break
-            lines.append(bytes(self.buf[:idx]))
-            del self.buf[:idx + 1]
-        if len(self.buf) > self.max_bytes:
-            self.overflowed = True
-        return lines
-
-
 class RequestEngine:
     """Protocol dispatch over one :class:`~repro.api.fleet.ModelFleet`.
 
@@ -121,9 +81,9 @@ class RequestEngine:
 
     * request dispatch (:meth:`handle`), including the server-level
       ``{"cmd": "stats"}`` admin verb;
-    * the protocol shell for text lines (:meth:`process_line`, the
-      stdio path) and codec frames (:meth:`respond`) — size guard,
-      typed ``invalid_json`` / ``too_large`` / ``internal`` frames,
+    * the protocol shell for one de-framed frame (:meth:`respond`, the
+      stdio path and the synchronous socket turn) — size guard, typed
+      ``invalid_json`` / ``too_large`` / ``internal`` frames,
       blank-line skipping;
     * the micro-batch fast path: :meth:`fast_path` classifies a
       decoded request as coalescible and :meth:`execute_fast` scores a
@@ -362,35 +322,21 @@ class RequestEngine:
                 )
             if cmd == "hello":
                 # codec negotiation is per-connection transport state;
-                # the socket paths intercept hello in respond() before
-                # it reaches the engine, so an engine-level hello can
-                # only come from a transport without a WireSession
-                # (stdio, embedders) — which keeps speaking JSON
+                # every transport intercepts hello in its WireSession
+                # before it reaches the engine, so an engine-level
+                # hello can only come from an embedder calling handle()
+                # directly — which keeps speaking JSON
                 return ok_frame({"codec": CODEC_JSON},
                                 request_id(request))
         return self.fleet.handle_request(request)
-
-    def process_line(self, line: str) -> str | None:
-        """One protocol turn over a text line (the stdio path)."""
-        if self.obs is None:
-            return _service.process_request_line(line, self.handle)
-        return _service.process_request_line(line, self._handle_observed)
-
-    def _handle_observed(self, request) -> dict:
-        """The stdio handler with per-request telemetry around it."""
-        started = time.perf_counter_ns()
-        frame = self.handle(request)
-        self.observe_request(request, CODEC_JSON, started)
-        return frame
 
     def respond(self, raw: bytes, wire: WireSession) -> bytes | None:
         """One synchronous protocol turn over a de-framed frame.
 
         *wire* decodes and encodes in the connection's negotiated codec
-        and absorbs the ``hello`` handshake.  On a never-negotiated
-        (JSON) connection the bytes produced encode exactly what
-        :meth:`process_line` answers for the same line, and a binary-v2
-        stream block is scored exactly as the event loop scores it.
+        and absorbs the ``hello`` handshake.  The stdio loop answers
+        every line through here, and a binary-v2 stream block is
+        scored exactly as the event loop scores it.
         """
         if self.obs is not None:
             return self._respond_observed(raw, wire)
@@ -714,29 +660,35 @@ class RequestEngine:
         return b"".join(answers)
 
 
-def serve_lines(process, stdin=None, stdout=None) -> int:
-    """Drive a ``line -> response | None`` handler over stdio.
+def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
+    """Serve JSON-lines requests until EOF; returns requests handled.
 
-    THE stdio loop — both engine-backed serving (:func:`serve_stdio`)
-    and the duck-typed ``process_line`` scorers of
-    :func:`repro.api.service.serve` run through it.
+    Each line is answered by :meth:`RequestEngine.respond` on one
+    JSON-only :class:`WireSession` — the shell the socket path runs —
+    so a hostile line (invalid JSON or UTF-8, nesting too deep, an
+    oversized line) draws the same typed frame and the loop goes on.
+    *stdin* yields bytes lines (by default ``sys.stdin.buffer``, or
+    ``sys.stdin`` itself when it has no byte layer); text lines, as
+    from a ``StringIO``, are encoded first.  The ASCII JSON frames are
+    written to the text stream *stdout*.
     """
-    stdin = stdin if stdin is not None else sys.stdin
+    if stdin is None:
+        stdin = getattr(sys.stdin, "buffer", sys.stdin)
     stdout = stdout if stdout is not None else sys.stdout
+    wire = WireSession((CODEC_JSON,))
     handled = 0
     for line in stdin:
-        response = process(line)
+        if type(line) is str:
+            # surrogatepass: any str encodes, and a lone surrogate then
+            # fails the JSON parse as invalid UTF-8 instead of raising
+            line = line.encode("utf-8", "surrogatepass")
+        response = engine.respond(line, wire)
         if response is None:
             continue
-        stdout.write(response)
+        stdout.write(response.decode("ascii"))
         stdout.flush()
         handled += 1
     return handled
-
-
-def serve_stdio(engine: RequestEngine, stdin=None, stdout=None) -> int:
-    """Serve JSON-lines requests until EOF; returns requests handled."""
-    return serve_lines(engine.process_line, stdin, stdout)
 
 
 class _Connection:

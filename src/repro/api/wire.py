@@ -1,26 +1,39 @@
-"""Pluggable wire codecs: JSON lines (default) + length-prefixed binary.
+"""The scoring wire: protocol vocabulary, frames and codecs.
 
-PR 5 funnelled every transport through one :class:`RequestEngine`; this
-module extracts the *wire format* the same way, so the engine decodes
-and encodes through a per-connection :class:`WireSession` instead of
-hardcoding JSON framing.  Two codecs are registered:
+Every serving path — ``repro serve`` on stdin/stdout and the socket
+daemons — decodes and encodes through this module, so the paths cannot
+drift apart.  Success frames are ``{"ok": true, ...payload...}``; error
+frames are::
 
-* ``json`` — the compatibility default.  One JSON object per line, the
-  exact bytes the protocol has spoken since PR 3.  Clients that never
-  negotiate keep receiving byte-identical frames.
-* ``binary-v1`` — length-prefixed packed frames for the hot verbs::
+    {"ok": false, "code": "<machine-readable>", "error": "<human text>"}
+
+with the request ``"id"`` echoed on both when the request carried one.
+The error ``code`` is one of the ``ERROR_*`` constants below, so
+clients (see :class:`repro.api.client.ScoringClient`) can dispatch on
+it without parsing prose.
+
+Two codecs are registered:
+
+* ``json`` — one JSON object per line in, one per line out.  Every
+  connection starts here, and clients that never negotiate stay here.
+* ``binary-v2`` — length-prefixed packed frames for the hot verbs::
 
       u32 payload_len (LE) | u8 frame_type | payload
 
-  ====== ============ ==============================================
-  type   name         payload
-  ====== ============ ==============================================
-  0x00   JSON         one UTF-8 JSON object (any verb, any error)
-  0x01   PREDICT      i64 id | u32 n | f32[n] features
-  0x02   BATCH        i64 id | u32 rows | u32 cols | f32[rows*cols]
-  0x81   PREDICTION   i64 id | i32 prediction
-  0x82   PREDICTIONS  i64 id | u32 n | i32[n] predictions
-  ====== ============ ==============================================
+  ====== =================== =========================================
+  type   name                payload
+  ====== =================== =========================================
+  0x00   JSON                one UTF-8 JSON object (any verb, any error)
+  0x01   PREDICT             i64 id | u32 n | f32[n] features
+  0x02   BATCH               i64 id | u32 rows | u32 cols
+                             | f32[rows*cols]
+  0x03   PREDICT_STREAM      u32 count | u32 cols | i64 ids[count]
+                             | f32[count*cols] rows
+  0x81   PREDICTION          i64 id | i32 prediction
+  0x82   PREDICTIONS         i64 id | u32 n | i32[n] predictions
+  0x83   PREDICTIONS_STREAM  u32 count | i64 ids[count]
+                             | i32 preds[count]
+  ====== =================== =========================================
 
   All integers are little-endian; an ``id`` of ``-2**63`` means "no
   request id".  Feature payloads are contiguous float32 arrays — a
@@ -28,17 +41,6 @@ hardcoding JSON framing.  Two codecs are registered:
   Anything that is not a hot-path predict travels as an embedded JSON
   frame (0x00), so admin verbs, model routing and every error shape
   work identically under both codecs.
-* ``binary-v2`` — a strict superset of ``binary-v1`` adding multi-row
-  *streaming* frames for the pipelined hot path::
-
-  ====== =================== =========================================
-  type   name                payload
-  ====== =================== =========================================
-  0x03   PREDICT_STREAM      u32 count | u32 cols | i64 ids[count]
-                             | f32[count*cols] rows
-  0x83   PREDICTIONS_STREAM  u32 count | i64 ids[count]
-                             | i32 preds[count]
-  ====== =================== =========================================
 
   A PREDICT_STREAM packs *count* **independent** single-row requests
   (one id + one f32 row each) into one frame, so a pipelined client
@@ -50,22 +52,25 @@ hardcoding JSON framing.  Two codecs are registered:
   fail validation are answered individually as embedded JSON error
   frames; the response streams carry only successes, so every id is
   answered exactly once either way.  Stream requests always score the
-  connection's *default* model — model-routed rows keep using the
-  per-request v1 frames, exactly like v1's PREDICT fast path.
+  connection's *default* model — model-routed rows use the per-request
+  PREDICT frames.
 
 Codecs are negotiated per connection: a client opens with the JSON
-request ``{"cmd": "hello", "codecs": ["binary-v1"]}`` and the server
+request ``{"cmd": "hello", "codecs": ["binary-v2"]}`` and the server
 answers ``{"ok": true, "codec": "<chosen>"}`` *in the old codec*, then
 both sides switch.  Unknown codec names are skipped — a hello offering
 only unknown codecs falls back to ``json`` — and clients that never
 send hello are never switched.
 
-Size guards mirror the JSON protocol: a binary frame whose declared
-payload length exceeds ``MAX_REQUEST_BYTES`` draws a typed
-``too_large`` frame and a teardown (the stream cannot be trusted), and
-a malformed frame inside a negotiated binary stream draws a typed
-``invalid_frame`` error followed by a clean teardown — unlike a JSON
-line, a corrupted length-prefixed stream has no newline to resync on.
+Size guards: a JSON line longer than :data:`MAX_REQUEST_BYTES` draws a
+typed ``too_large`` frame, and so does a binary frame whose declared
+payload length exceeds it — followed by a teardown, because the stream
+cannot be trusted.  A malformed frame inside a negotiated binary stream
+draws a typed ``invalid_frame`` error followed by a clean teardown —
+unlike a JSON line, a corrupted length-prefixed stream has no newline
+to resync on.  JSON that cannot be parsed, nested too deeply included,
+draws a typed ``invalid_json`` frame on either codec (on a binary
+connection followed by the same teardown).
 """
 
 from __future__ import annotations
@@ -75,25 +80,92 @@ import struct
 
 import numpy as np
 
-from repro.api.protocol import (
-    ERROR_BAD_REQUEST,
-    ERROR_INVALID_FRAME,
+# -- the protocol vocabulary -----------------------------------------------
+
+#: the request line was not valid JSON at all.
+ERROR_INVALID_JSON = "invalid_json"
+#: the request decoded but could not be served (unknown kernel, missing
+#: features, bad shapes, unsupported verb, non-object request, ...).
+ERROR_BAD_REQUEST = "bad_request"
+#: the server hit an unexpected condition; the connection survives.
+ERROR_INTERNAL = "internal"
+#: the request named a model key the serving fleet does not know and
+#: cannot load (see :mod:`repro.api.fleet`).
+ERROR_UNKNOWN_MODEL = "unknown_model"
+#: the request line exceeded :data:`MAX_REQUEST_BYTES`.
+ERROR_TOO_LARGE = "too_large"
+#: a frame on a negotiated binary connection could not be decoded
+#: (unknown frame type, truncated or inconsistent payload); the
+#: connection is torn down after answering, because a length-prefixed
+#: stream cannot be resynchronized.
+ERROR_INVALID_FRAME = "invalid_frame"
+#: the server is draining (graceful shutdown: it answers in-flight
+#: work but accepts no new scoring requests).  Clients should retry on
+#: another endpoint — :class:`repro.api.client.ScoringClient` treats
+#: this code as retryable and re-resolves the shard registry, so a
+#: drained shard hands its traffic to its siblings (see
+#: :mod:`repro.api.supervisor`).
+ERROR_DRAINING = "draining"
+
+ERROR_CODES = (
     ERROR_INVALID_JSON,
+    ERROR_BAD_REQUEST,
+    ERROR_INTERNAL,
+    ERROR_UNKNOWN_MODEL,
     ERROR_TOO_LARGE,
-    MAX_REQUEST_BYTES,
-    encode_frame,
-    error_frame,
-    ok_frame,
-    request_id,
+    ERROR_INVALID_FRAME,
+    ERROR_DRAINING,
 )
 
+#: upper bound on one request line (16 MiB — a ~40k-row batch of the
+#: paper's 24-feature vectors fits comfortably).  Decoding refuses
+#: longer lines with a typed ``too_large`` frame instead of burning CPU
+#: JSON-parsing unbounded input.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
+#: upper bound on one response line, enforced *client-side* by
+#: :class:`repro.api.client.ScoringClient`: a misbehaving or
+#: desynchronized server streaming bytes without a newline must not
+#: grow the client's receive buffer without limit.  Mirrors the
+#: server-side request guard.
+MAX_RESPONSE_BYTES = MAX_REQUEST_BYTES
+
+
+def request_id(request) -> object | None:
+    """The correlation id of a decoded request, if it carries one."""
+    if isinstance(request, dict) and "id" in request:
+        return request["id"]
+    return None
+
+
+def ok_frame(payload: dict, req_id=None) -> dict:
+    """A success frame carrying *payload*, echoing the request id."""
+    frame: dict = {"ok": True}
+    if req_id is not None:
+        frame["id"] = req_id
+    frame.update(payload)
+    return frame
+
+
+def error_frame(code: str, message: str, req_id=None) -> dict:
+    """A typed error frame (``ok=false`` + machine-readable ``code``)."""
+    frame: dict = {"ok": False, "code": code, "error": message}
+    if req_id is not None:
+        frame["id"] = req_id
+    return frame
+
+
+def encode_frame(frame: dict) -> str:
+    """Serialize one response frame, newline-terminated."""
+    return json.dumps(frame) + "\n"
+
+
 CODEC_JSON = "json"
-CODEC_BINARY = "binary-v1"
 CODEC_BINARY_V2 = "binary-v2"
 
 #: codecs a server offers by default, in server preference order.  The
 #: JSON codec is always the pre-negotiation state and the fallback.
-DEFAULT_CODECS = (CODEC_BINARY_V2, CODEC_BINARY, CODEC_JSON)
+DEFAULT_CODECS = (CODEC_BINARY_V2, CODEC_JSON)
 
 #: binary frame header: u32 payload length (LE) + u8 frame type.
 HEADER = struct.Struct("<IB")
@@ -122,7 +194,7 @@ _I64_MIN, _I64_MAX = -(2 ** 63), 2 ** 63 - 1
 _I32_MIN, _I32_MAX = -(2 ** 31), 2 ** 31 - 1
 
 
-# -- the JSON shell (shared verbatim by transport.py) ----------------------
+# -- the JSON shell ---------------------------------------------------------
 
 
 def prediction_frame(req_id, prediction: int) -> str:
@@ -155,25 +227,47 @@ def flood_frame() -> dict:
         f"without a newline; closing the connection")
 
 
+def _parse_json(raw: bytes):
+    """``(request, None)`` or ``(None, typed error frame)`` for *raw*.
+
+    The one JSON request parser.  Invalid UTF-8 is a ``ValueError``
+    here, and nesting past the interpreter's recursion limit is caught
+    too: neither may escape into a serving loop.  A JSON ``null`` is
+    answered here as the non-object request it is, because a ``None``
+    request would read as a blank line and go unanswered.
+    """
+    try:
+        request = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        return None, error_frame(ERROR_INVALID_JSON, f"invalid JSON: {exc}")
+    if request is None:
+        return None, error_frame(ERROR_BAD_REQUEST,
+                                 "request must be a JSON object")
+    return request, None
+
+
 def decode_json_raw(raw: bytes):
-    """Decode one raw byte line — THE framing shell of every socket path.
+    """Decode one raw byte line — THE framing shell of every path.
 
     Returns ``(request, None)`` on success, ``(None, error_frame)``
     for oversized or malformed lines and ``(None, None)`` for blank
-    lines.  The bytes twin of :func:`repro.api.protocol.decode_request`
-    (``json.loads`` accepts the bytes directly, skipping a per-line
-    utf-8 decode + copy; the frames produced are byte-identical).
+    lines.  ``json.loads`` accepts the bytes directly, skipping a
+    per-line utf-8 decode + copy.
     """
     if len(raw) > MAX_REQUEST_BYTES:
         return None, too_large_frame(len(raw))
     raw = raw.strip()
     if not raw:
         return None, None
+    return _parse_json(raw)
+
+
+def _parse_json_response(raw: bytes):
+    """Client-side JSON parse: any undecodable frame is a ``ValueError``."""
     try:
-        return json.loads(raw), None
-    except ValueError as exc:
-        return None, error_frame(ERROR_INVALID_JSON,
-                                 f"invalid JSON: {exc}")
+        return json.loads(raw)
+    except RecursionError as exc:
+        raise ValueError(f"undecodable JSON frame: {exc}") from None
 
 
 def _json_safe(frame: dict) -> dict:
@@ -196,7 +290,7 @@ def _json_safe(frame: dict) -> dict:
 
 
 class JsonCodec:
-    """The compatibility codec: JSON lines, byte-identical to PR 5."""
+    """JSON lines: the pre-negotiation codec every connection starts in."""
 
     name = CODEC_JSON
 
@@ -215,13 +309,37 @@ class JsonCodec:
         return (json.dumps(_json_safe(frame)) + "\n").encode("utf-8")
 
     def decode_response(self, raw: bytes):
-        return json.loads(raw)  # ValueError on garbage
+        return _parse_json_response(raw)  # ValueError on garbage
 
 
-class BinaryCodec:
+class PredictStream:
+    """A decoded ``FRAME_PREDICT_STREAM``: N independent single-row
+    requests that never became Python objects.
+
+    ``ids`` is an ``<i8`` array of per-row request ids and ``rows`` a
+    ``(count, cols)`` ``<f4`` matrix — both zero-copy
+    ``np.frombuffer`` views over the received frame, so decoding a
+    stream costs two buffer views regardless of row count.  The
+    engine's stream fast path lifts ``rows`` to float64 **once per
+    coalesced batch** (exact: every f32 is representable) and answers
+    through packed :meth:`BinaryV2Codec.encode_predictions_stream`
+    frames paired back by id.
+    """
+
+    __slots__ = ("ids", "rows")
+
+    def __init__(self, ids, rows) -> None:
+        self.ids = ids
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+class BinaryV2Codec:
     """Length-prefixed packed frames; JSON embedding for cold verbs."""
 
-    name = CODEC_BINARY
+    name = CODEC_BINARY_V2
 
     _SINGLE_KEYS = frozenset(("ok", "id", "prediction"))
     _BATCH_KEYS = frozenset(("ok", "id", "predictions"))
@@ -232,19 +350,32 @@ class BinaryCodec:
         """Decode one de-framed frame (type byte + payload).
 
         Hot-path frames decode straight into the request shapes the
-        engine already understands: PREDICT yields a ``features`` list
-        (fast-path eligible), BATCH yields ``rows`` as a contiguous
-        float64 matrix — no per-row Python lists.
+        engine already understands: PREDICT_STREAM yields a
+        :class:`PredictStream`, PREDICT a ``features`` list (fast-path
+        eligible), BATCH ``rows`` as a contiguous float64 matrix — no
+        per-row Python lists.
         """
         ftype = raw[0]
         payload = memoryview(raw)[1:]
         try:
-            if ftype == FRAME_JSON:
-                try:
-                    return json.loads(bytes(payload)), None
-                except ValueError as exc:
-                    return None, error_frame(ERROR_INVALID_JSON,
-                                             f"invalid JSON: {exc}")
+            if ftype == FRAME_PREDICT_STREAM:
+                count, cols = _STREAM_HEAD.unpack_from(payload)
+                if count < 1:
+                    raise ValueError(
+                        "PREDICT_STREAM must carry at least one row")
+                if len(payload) != (_STREAM_HEAD.size + 8 * count
+                                    + 4 * count * cols):
+                    raise ValueError(
+                        f"PREDICT_STREAM declares {count}x{cols} but "
+                        f"carries {len(payload) - _STREAM_HEAD.size} "
+                        f"payload bytes")
+                ids = np.frombuffer(payload, dtype="<i8", count=count,
+                                    offset=_STREAM_HEAD.size)
+                rows = np.frombuffer(
+                    payload, dtype="<f4", count=count * cols,
+                    offset=_STREAM_HEAD.size + 8 * count).reshape(
+                        count, cols)
+                return PredictStream(ids, rows), None
             if ftype == FRAME_PREDICT:
                 req_id, n = _PREDICT_HEAD.unpack_from(payload)
                 if len(payload) != _PREDICT_HEAD.size + 4 * n:
@@ -276,6 +407,8 @@ class BinaryCodec:
             return None, error_frame(
                 ERROR_INVALID_FRAME,
                 f"malformed binary frame (type 0x{ftype:02x}): {exc}")
+        if ftype == FRAME_JSON:
+            return _parse_json(bytes(payload))
         return None, error_frame(
             ERROR_INVALID_FRAME,
             f"unknown binary frame type 0x{ftype:02x}")
@@ -310,6 +443,15 @@ class BinaryCodec:
             req_id = None
         return self._embed_json(ok_frame({"prediction": prediction},
                                          req_id))
+
+    def encode_predictions_stream(self, ids, predictions) -> bytes:
+        """One PREDICTIONS_STREAM from parallel id/prediction arrays."""
+        id_arr = np.ascontiguousarray(ids, dtype="<i8")
+        pred_arr = np.ascontiguousarray(predictions, dtype="<i4")
+        body = id_arr.tobytes() + pred_arr.tobytes()
+        return (HEADER.pack(_PSTREAM_HEAD.size + len(body),
+                            FRAME_PREDICTIONS_STREAM)
+                + _PSTREAM_HEAD.pack(id_arr.size) + body)
 
     def _pack_predictions(self, req_id: int, predictions) -> bytes | None:
         if not isinstance(predictions, list):
@@ -358,6 +500,20 @@ class BinaryCodec:
                             + body)
         return self._embed_json(_json_safe(frame))
 
+    def encode_predict_stream(self, ids, rows) -> bytes:
+        """One PREDICT_STREAM from an id array + (n, cols) f32 matrix.
+
+        Built straight from ``(req_id, row)`` arrays — the pipelined
+        client never constructs per-request dicts under this codec.
+        """
+        id_arr = np.ascontiguousarray(ids, dtype="<i8")
+        row_arr = np.ascontiguousarray(rows, dtype="<f4")
+        body = id_arr.tobytes() + row_arr.tobytes()
+        return (HEADER.pack(_STREAM_HEAD.size + len(body),
+                            FRAME_PREDICT_STREAM)
+                + _STREAM_HEAD.pack(row_arr.shape[0], row_arr.shape[1])
+                + body)
+
     @staticmethod
     def _pack_f32(values, ndim: int) -> bytes | None:
         try:
@@ -372,6 +528,19 @@ class BinaryCodec:
         ftype = raw[0]
         payload = memoryview(raw)[1:]
         try:
+            if ftype == FRAME_PREDICTIONS_STREAM:
+                count, = _PSTREAM_HEAD.unpack_from(payload)
+                if len(payload) != _PSTREAM_HEAD.size + 12 * count:
+                    raise ValueError(
+                        f"PREDICTIONS_STREAM declares {count} entries "
+                        f"but carries {len(payload) - _PSTREAM_HEAD.size} "
+                        f"bytes")
+                ids = np.frombuffer(payload, dtype="<i8", count=count,
+                                    offset=_PSTREAM_HEAD.size)
+                predictions = np.frombuffer(
+                    payload, dtype="<i4", count=count,
+                    offset=_PSTREAM_HEAD.size + 8 * count)
+                return {"ok": True, "stream": (ids, predictions)}
             if ftype == FRAME_PREDICTION:
                 req_id, prediction = _PREDICTION_BODY.unpack(payload)
                 frame: dict = {"ok": True}
@@ -393,126 +562,15 @@ class BinaryCodec:
                     offset=_PREDICTIONS_HEAD.size).tolist()
                 return frame
             if ftype == FRAME_JSON:
-                return json.loads(bytes(payload))
+                return _parse_json_response(bytes(payload))
         except struct.error as exc:
             raise ValueError(f"truncated binary frame: {exc}") from exc
         raise ValueError(f"unknown binary frame type 0x{ftype:02x}")
 
 
-class PredictStream:
-    """A decoded ``FRAME_PREDICT_STREAM``: N independent single-row
-    requests that never became Python objects.
-
-    ``ids`` is an ``<i8`` array of per-row request ids and ``rows`` a
-    ``(count, cols)`` ``<f4`` matrix — both zero-copy
-    ``np.frombuffer`` views over the received frame, so decoding a
-    stream costs two buffer views regardless of row count.  The
-    engine's stream fast path lifts ``rows`` to float64 **once per
-    coalesced batch** (exact: every f32 is representable) and answers
-    through packed :meth:`BinaryV2Codec.encode_predictions_stream`
-    frames paired back by id.
-    """
-
-    __slots__ = ("ids", "rows")
-
-    def __init__(self, ids, rows) -> None:
-        self.ids = ids
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-class BinaryV2Codec(BinaryCodec):
-    """``binary-v1`` plus multi-row streaming frames (pipelined path).
-
-    Every v1 frame round-trips identically — a v2 connection sending
-    only v1 frames is byte-for-byte a v1 connection — so the codec
-    subclasses :class:`BinaryCodec` and adds exactly the two stream
-    frame types.
-    """
-
-    name = CODEC_BINARY_V2
-
-    # -- server side -------------------------------------------------------
-
-    def decode_request(self, raw: bytes):
-        if raw[0] != FRAME_PREDICT_STREAM:
-            return super().decode_request(raw)
-        payload = memoryview(raw)[1:]
-        try:
-            count, cols = _STREAM_HEAD.unpack_from(payload)
-            expected = _STREAM_HEAD.size + 8 * count + 4 * count * cols
-            if count < 1:
-                raise ValueError(
-                    "PREDICT_STREAM must carry at least one row")
-            if len(payload) != expected:
-                raise ValueError(
-                    f"PREDICT_STREAM declares {count}x{cols} but "
-                    f"carries {len(payload) - _STREAM_HEAD.size} "
-                    f"payload bytes")
-        except (struct.error, ValueError) as exc:
-            return None, error_frame(
-                ERROR_INVALID_FRAME,
-                f"malformed binary frame "
-                f"(type 0x{FRAME_PREDICT_STREAM:02x}): {exc}")
-        ids = np.frombuffer(payload, dtype="<i8", count=count,
-                            offset=_STREAM_HEAD.size)
-        rows = np.frombuffer(
-            payload, dtype="<f4", count=count * cols,
-            offset=_STREAM_HEAD.size + 8 * count).reshape(count, cols)
-        return PredictStream(ids, rows), None
-
-    def encode_predictions_stream(self, ids, predictions) -> bytes:
-        """One PREDICTIONS_STREAM from parallel id/prediction arrays."""
-        id_arr = np.ascontiguousarray(ids, dtype="<i8")
-        pred_arr = np.ascontiguousarray(predictions, dtype="<i4")
-        body = id_arr.tobytes() + pred_arr.tobytes()
-        return (HEADER.pack(_PSTREAM_HEAD.size + len(body),
-                            FRAME_PREDICTIONS_STREAM)
-                + _PSTREAM_HEAD.pack(id_arr.size) + body)
-
-    # -- client side -------------------------------------------------------
-
-    def encode_predict_stream(self, ids, rows) -> bytes:
-        """One PREDICT_STREAM from an id array + (n, cols) f32 matrix.
-
-        Built straight from ``(req_id, row)`` arrays — the pipelined
-        client never constructs per-request dicts under this codec.
-        """
-        id_arr = np.ascontiguousarray(ids, dtype="<i8")
-        row_arr = np.ascontiguousarray(rows, dtype="<f4")
-        body = id_arr.tobytes() + row_arr.tobytes()
-        return (HEADER.pack(_STREAM_HEAD.size + len(body),
-                            FRAME_PREDICT_STREAM)
-                + _STREAM_HEAD.pack(row_arr.shape[0], row_arr.shape[1])
-                + body)
-
-    def decode_response(self, raw: bytes):
-        if raw[0] != FRAME_PREDICTIONS_STREAM:
-            return super().decode_response(raw)
-        payload = memoryview(raw)[1:]
-        try:
-            count, = _PSTREAM_HEAD.unpack_from(payload)
-        except struct.error as exc:
-            raise ValueError(f"truncated binary frame: {exc}") from exc
-        if len(payload) != _PSTREAM_HEAD.size + 12 * count:
-            raise ValueError(
-                f"PREDICTIONS_STREAM declares {count} entries but "
-                f"carries {len(payload) - _PSTREAM_HEAD.size} bytes")
-        ids = np.frombuffer(payload, dtype="<i8", count=count,
-                            offset=_PSTREAM_HEAD.size)
-        predictions = np.frombuffer(
-            payload, dtype="<i4", count=count,
-            offset=_PSTREAM_HEAD.size + 8 * count)
-        return {"ok": True, "stream": (ids, predictions)}
-
-
 JSON_CODEC = JsonCodec()
-BINARY_CODEC = BinaryCodec()
 BINARY_V2_CODEC = BinaryV2Codec()
-CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY: BINARY_CODEC,
-          CODEC_BINARY_V2: BINARY_V2_CODEC}
+CODECS = {CODEC_JSON: JSON_CODEC, CODEC_BINARY_V2: BINARY_V2_CODEC}
 
 
 def get_codec(name: str):

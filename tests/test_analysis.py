@@ -133,7 +133,7 @@ class TestProtocolConsistency:
         assert "missing from ERROR_CODES" in report.findings[0].message
 
     API_NAMES = ("transport.py", "client.py", "admin.py", "wire.py",
-                 "protocol.py", "service.py",
+                 "service.py",
                  os.path.join("fleet", "router.py"))
 
     def _copy_api_sources(self, tmp_path, names=API_NAMES) -> None:
@@ -513,8 +513,8 @@ class TestCodecSymmetry:
                   encoding="utf-8") as f:
             source = f.read()
         mutated = source.replace(
-            "if raw[0] != FRAME_PREDICTIONS_STREAM:",
-            "if raw[0] != 0x83:")
+            "if ftype == FRAME_PREDICTIONS_STREAM:",
+            "if ftype == 0x83:")
         assert mutated != source
         (tmp_path / "wire.py").write_text(mutated)
         report = run_lint([str(tmp_path)], select="RPL005",

@@ -16,10 +16,17 @@ from repro.api import (
     ScoringDaemon,
 )
 from repro.api.fleet.pool import cache_loader
-from repro.api.protocol import MAX_REQUEST_BYTES, decode_request
+from repro.api.transport import RequestEngine
+from repro.api.wire import CODEC_JSON, MAX_REQUEST_BYTES, WireSession
 from repro.errors import FleetError, ScoringError
 
 TAG = "unit"
+
+
+def _turn(fleet, line: str) -> bytes:
+    """One synchronous protocol turn over a JSON line (the stdio shell)."""
+    return RequestEngine(fleet).respond(line.encode("utf-8"),
+                                        WireSession((CODEC_JSON,)))
 
 
 @pytest.fixture()
@@ -187,20 +194,10 @@ class TestModelPool:
 
 
 class TestProtocolEdges:
-    def test_oversized_request_line(self):
-        line = '{"pad": "' + "x" * 64 + '"}'
-        request, error = decode_request(line, max_bytes=32)
-        assert request is None
-        assert error["ok"] is False
-        assert error["code"] == "too_large"
-        # and the default bound is permissive but real
-        assert decode_request('{"cmd": "info"}')[0] == {"cmd": "info"}
-        assert MAX_REQUEST_BYTES >= 1024 * 1024
-
     def test_oversized_line_through_the_fleet(self, tree_clf):
         fleet = ModelFleet(default=tree_clf)
         line = '{"pad": "' + "x" * (MAX_REQUEST_BYTES + 16) + '"}\n'
-        frame = json.loads(fleet.process_line(line))
+        frame = json.loads(_turn(fleet, line))
         assert frame["ok"] is False
         assert frame["code"] == "too_large"
 
@@ -299,7 +296,7 @@ class TestModelFleetRouter:
         batched = ModelFleet(default=tree_clf, max_batch=8)
         for row in X:
             line = json.dumps({"features": list(row), "id": 5}) + "\n"
-            assert batched.process_line(line) == plain.process_line(line)
+            assert _turn(batched, line) == _turn(plain, line)
 
 
 class TestFleetDaemon:
@@ -434,7 +431,7 @@ def test_numpy_roundtrip_is_byte_identical_through_batching(
     """JSON wire frames from the micro-batched path carry plain ints."""
     X = tiny_dataset.matrix(tree_clf.feature_names_)
     fleet = ModelFleet(default=tree_clf, max_batch=4)
-    frame = json.loads(fleet.process_line(
-        json.dumps({"features": list(X[0])}) + "\n"))
+    frame = json.loads(_turn(
+        fleet, json.dumps({"features": list(X[0])}) + "\n"))
     assert frame["prediction"] == tree_clf.predict(X[0])
     assert np.asarray(frame["prediction"]).dtype.kind == "i"

@@ -24,15 +24,16 @@ from repro.api import (
     Classifier,
     ModelFleet,
     ReproConfig,
+    RequestEngine,
     ScoringClient,
     ScoringDaemon,
     ShardManager,
     classifier_factory,
     serve,
+    serve_stdio,
 )
 from repro.api.client import DEFAULT_PIPELINE_WINDOW
 from repro.api.shard import read_registry, shard_socket_path
-from repro.api.transport import LineSplitter
 from repro.errors import DaemonError, ScoringError
 
 
@@ -150,21 +151,54 @@ class TestOneDispatchPath:
         assert answer["code"] == "unknown_model"
 
 
-class TestLineSplitter:
-    def test_split_and_partials(self):
-        splitter = LineSplitter()
-        assert splitter.feed(b'{"a": 1}\n{"b"') == [b'{"a": 1}']
-        assert splitter.feed(b": 2}\n") == [b'{"b": 2}']
-        assert not splitter.overflowed
+class TestStdioHostileInput:
+    def _lines(self, trained, tiny_dataset) -> list:
+        X = tiny_dataset.matrix(trained.feature_names_)
+        row = list(map(float, X[0]))
+        return [
+            json.dumps({"features": row, "id": 1}).encode(),
+            b'{"id": 2, "note": "\xff\xfe"}',  # invalid UTF-8
+            json.dumps({"features": row, "id": 3}).encode(),
+        ]
 
-    def test_overflow_flag(self):
-        splitter = LineSplitter(max_bytes=8)
-        assert splitter.feed(b"0123456789without-newline") == []
-        assert splitter.overflowed
+    def _check(self, trained, tiny_dataset, handled, out) -> None:
+        X = tiny_dataset.matrix(trained.feature_names_)
+        frames = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert handled == 3
+        assert [f["ok"] for f in frames] == [True, False, True]
+        assert frames[1]["code"] == "invalid_json"
+        assert frames[0]["prediction"] == trained.predict(X[0])
+        assert frames[2] == dict(frames[0], id=3)
 
-    def test_many_lines_in_one_chunk(self):
-        splitter = LineSplitter()
-        assert splitter.feed(b"a\nb\nc\n") == [b"a", b"b", b"c"]
+    def test_invalid_utf8_line_gets_a_typed_answer(self, trained,
+                                                   tiny_dataset):
+        """A valid line, a line of invalid UTF-8, a valid line: three
+        typed answers and no exception out of the stdio loop."""
+        lines = self._lines(trained, tiny_dataset)
+        out = io.StringIO()
+        handled = serve_stdio(RequestEngine(trained),
+                              io.BytesIO(b"\n".join(lines) + b"\n"), out)
+        self._check(trained, tiny_dataset, handled, out)
+
+    def test_default_stdin_is_read_as_bytes(self, trained, tiny_dataset,
+                                            monkeypatch):
+        """``repro serve`` reads the byte layer under sys.stdin, so a
+        text stdin cannot fail to decode before the shell sees it."""
+        lines = self._lines(trained, tiny_dataset)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"\n".join(lines) + b"\n"), encoding="utf-8"))
+        out = io.StringIO()
+        handled = serve(trained, stdout=out)
+        self._check(trained, tiny_dataset, handled, out)
+
+    def test_deep_nesting_line_gets_a_typed_answer(self, trained):
+        out = io.StringIO()
+        handled = serve(trained, io.StringIO(
+            "[" * 100_000 + '\n{"cmd": "health", "id": 1}\n'), out)
+        frames = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert handled == 2
+        assert frames[0]["code"] == "invalid_json"
+        assert frames[1]["ok"] is True and frames[1]["id"] == 1
 
 
 class TestStatsVerb:
@@ -451,6 +485,25 @@ class TestClientResponseBound:
         finally:
             server.close()
 
+    def test_deeply_nested_response_raises_scoring_error(self, unix_path):
+        def session(listener) -> None:
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()
+                conn.sendall(b"[" * 100_000 + b"\n")
+
+        server = _FakeServer(unix_path, session)
+        try:
+            client = ScoringClient(socket_path=unix_path,
+                                   reconnect_retries=0)
+            with pytest.raises(ScoringError,
+                               match="undecodable") as excinfo:
+                client.request({"cmd": "info"})
+            assert excinfo.value.code == "transport"
+            client.close()
+        finally:
+            server.close()
+
 
 class TestSharded:
     def _rows(self, trained, tiny_dataset, reps: int = 4) -> tuple:
@@ -709,24 +762,6 @@ class TestClientTimeoutTeardown:
             client.close()
         finally:
             server.close()
-
-
-class TestLegacyServeScorer:
-    def test_duck_typed_process_line_scorer_still_serves(self):
-        """PR 4's documented extension point: serve() drives an object
-        exposing only process_line(line)."""
-        class Echo:
-            def process_line(self, line: str):
-                line = line.strip()
-                if not line:
-                    return None
-                return json.dumps({"ok": True, "echo": line}) + "\n"
-
-        out = io.StringIO()
-        handled = serve(Echo(), io.StringIO('hello\n\nworld\n'), out)
-        assert handled == 2
-        frames = [json.loads(f) for f in out.getvalue().splitlines()]
-        assert [f["echo"] for f in frames] == ["hello", "world"]
 
 
 class TestCliShards:

@@ -14,21 +14,14 @@ from repro.api import (
     ScoringClient,
     ScoringDaemon,
 )
-from repro.api.protocol import (
-    ERROR_BAD_REQUEST,
-    ERROR_INVALID_FRAME,
-    ERROR_TOO_LARGE,
-    MAX_REQUEST_BYTES,
-    encode_frame,
-    ok_frame,
-)
 from repro.api.wire import (
-    BINARY_CODEC,
     BINARY_V2_CODEC,
-    CODEC_BINARY,
     CODEC_BINARY_V2,
     CODEC_JSON,
     DEFAULT_CODECS,
+    ERROR_BAD_REQUEST,
+    ERROR_INVALID_FRAME,
+    ERROR_TOO_LARGE,
     FRAME_BATCH,
     FRAME_JSON,
     FRAME_PREDICT,
@@ -36,11 +29,13 @@ from repro.api.wire import (
     FRAME_PREDICTIONS_STREAM,
     HEADER,
     JSON_CODEC,
-    NO_ID,
+    MAX_REQUEST_BYTES,
     PredictStream,
     WireSession,
+    encode_frame,
     get_codec,
     merge_codec_stats,
+    ok_frame,
     prediction_frame,
 )
 from repro.errors import ScoringError
@@ -121,7 +116,7 @@ class TestWireSession:
 
     def test_binary_oversized_declared_length_is_fatal(self):
         wire = WireSession(max_bytes=64)
-        wire.codec = BINARY_CODEC
+        wire.codec = BINARY_V2_CODEC
         wire.push(HEADER.pack(65, FRAME_PREDICT))
         assert wire.next_frame() is None
         assert wire.fatal
@@ -132,12 +127,12 @@ class TestWireSession:
     def test_negotiate_switches_after_answering_in_old_codec(self):
         wire = WireSession()
         raw = wire.negotiate({"cmd": "hello", "id": 1,
-                              "codecs": [CODEC_BINARY]})
+                              "codecs": [CODEC_BINARY_V2]})
         # the hello answer itself is a JSON line...
         assert json.loads(raw) == {"ok": True, "id": 1,
-                                   "codec": CODEC_BINARY}
+                                   "codec": CODEC_BINARY_V2}
         # ...and every frame after it speaks binary
-        assert wire.codec is BINARY_CODEC
+        assert wire.codec is BINARY_V2_CODEC
 
     def test_negotiate_unknown_codecs_fall_back_to_json(self):
         wire = WireSession()
@@ -148,7 +143,7 @@ class TestWireSession:
 
     def test_negotiate_respects_server_offered_set(self):
         wire = WireSession(offered=(CODEC_JSON,))
-        raw = wire.negotiate({"cmd": "hello", "codecs": [CODEC_BINARY]})
+        raw = wire.negotiate({"cmd": "hello", "codecs": [CODEC_BINARY_V2]})
         assert json.loads(raw)["codec"] == CODEC_JSON
         assert wire.codec is JSON_CODEC
 
@@ -161,9 +156,9 @@ class TestWireSession:
         """Hello + a binary frame pipelined into one chunk: the frame
         after the switch must parse under the *new* codec."""
         wire = WireSession()
-        predict = get_codec(CODEC_BINARY).encode_request(
+        predict = get_codec(CODEC_BINARY_V2).encode_request(
             {"id": 7, "features": [1.0, 2.0]})
-        wire.push(b'{"cmd": "hello", "codecs": ["binary-v1"]}\n' + predict)
+        wire.push(b'{"cmd": "hello", "codecs": ["binary-v2"]}\n' + predict)
         raw = wire.next_frame()
         assert wire.negotiate(json.loads(raw)) is not None
         frame = wire.next_frame()
@@ -174,30 +169,30 @@ class TestWireSession:
 
     def test_merge_codec_stats_sums_sections(self):
         merged = merge_codec_stats([
-            {"offered": ["binary-v1", "json"],
+            {"offered": ["binary-v2", "json"],
              "connections": {"json": 2}, "requests": {"json": 10},
              "bytes_in": {"json": 100}, "bytes_out": {"json": 200}},
             {"offered": ["json"],
-             "connections": {"json": 1, "binary-v1": 3},
-             "requests": {"binary-v1": 7},
-             "bytes_in": {"binary-v1": 50}, "bytes_out": {}},
+             "connections": {"json": 1, "binary-v2": 3},
+             "requests": {"binary-v2": 7},
+             "bytes_in": {"binary-v2": 50}, "bytes_out": {}},
             None,
         ])
-        assert merged["connections"] == {"json": 3, "binary-v1": 3}
-        assert merged["requests"] == {"json": 10, "binary-v1": 7}
-        assert set(merged["offered"]) == {"binary-v1", "json"}
+        assert merged["connections"] == {"json": 3, "binary-v2": 3}
+        assert merged["requests"] == {"json": 10, "binary-v2": 7}
+        assert set(merged["offered"]) == {"binary-v2", "json"}
 
 
 class TestBinaryCodecRoundTrip:
     def test_predict_request_roundtrip(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         raw = codec.encode_request({"id": 3, "features": [0.5, 1.25]})
         request, error = codec.decode_request(raw[4:])
         assert error is None
         assert request == {"features": [0.5, 1.25], "id": 3}
 
     def test_batch_request_roundtrip_keeps_matrix(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         rows = _f32(np.arange(12, dtype=float).reshape(4, 3))
         raw = codec.encode_request({"id": 9, "rows": rows})
         request, error = codec.decode_request(raw[4:])
@@ -206,7 +201,7 @@ class TestBinaryCodecRoundTrip:
         np.testing.assert_array_equal(request["rows"], rows)
 
     def test_no_id_sentinel(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         raw = codec.encode_request({"features": [1.0]})
         request, _ = codec.decode_request(raw[4:])
         assert "id" not in request
@@ -215,26 +210,26 @@ class TestBinaryCodecRoundTrip:
                                                        "prediction": 4}
 
     def test_cold_verbs_travel_as_embedded_json(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         raw = codec.encode_request({"cmd": "info", "id": 1})
         assert raw[4] == FRAME_JSON
         request, error = codec.decode_request(raw[4:])
         assert error is None and request["cmd"] == "info"
 
     def test_predictions_response_roundtrip(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         frame = {"ok": True, "id": 5, "predictions": [1, 8, 2]}
         raw = codec.encode_response(frame)
         assert codec.decode_response(raw[4:]) == frame
 
     def test_size_mismatch_draws_invalid_frame(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         body = struct.pack("<qI", 1, 10) + b"\0" * 8  # declares 10 floats
         _, error = codec.decode_request(bytes([FRAME_PREDICT]) + body)
         assert error["code"] == ERROR_INVALID_FRAME
 
     def test_unknown_frame_type_draws_invalid_frame(self):
-        codec = get_codec(CODEC_BINARY)
+        codec = get_codec(CODEC_BINARY_V2)
         _, error = codec.decode_request(b"\x7fgarbage")
         assert error["code"] == ERROR_INVALID_FRAME
         with pytest.raises(ValueError):
@@ -282,7 +277,7 @@ class TestLegacyByteIdentity:
 
         engine = RequestEngine(trained)
         frame = engine.handle({"cmd": "hello", "id": 1,
-                               "codecs": [CODEC_BINARY]})
+                               "codecs": [CODEC_BINARY_V2]})
         assert frame == {"ok": True, "id": 1, "codec": CODEC_JSON}
 
 
@@ -295,8 +290,8 @@ class TestBinaryDaemon:
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
         with ScoringDaemon(trained, socket_path=unix_path, workers=2):
             with ScoringClient(socket_path=unix_path,
-                               codec=CODEC_BINARY) as client:
-                assert client.codec == CODEC_BINARY
+                               codec=CODEC_BINARY_V2) as client:
+                assert client.codec == CODEC_BINARY_V2
                 assert client.predict_batch(X) == \
                     [int(p) for p in trained.predict_batch(X)]
                 assert client.predict(list(X[0])) == trained.predict(X[0])
@@ -317,9 +312,9 @@ class TestBinaryDaemon:
         with ScoringDaemon(fleet=fleet, socket_path=unix_path, workers=2):
             with ScoringClient(socket_path=unix_path) as json_client, \
                     ScoringClient(socket_path=unix_path,
-                                  codec=CODEC_BINARY) as bin_client:
+                                  codec=CODEC_BINARY_V2) as bin_client:
                 assert json_client.codec == CODEC_JSON
-                assert bin_client.codec == CODEC_BINARY
+                assert bin_client.codec == CODEC_BINARY_V2
                 assert bin_client.predict_batch(X) == \
                     json_client.predict_batch(X)
                 assert bin_client.predict_pipelined(X) == \
@@ -332,7 +327,7 @@ class TestBinaryDaemon:
         with ScoringDaemon(trained, socket_path=unix_path, workers=2,
                            codecs=(CODEC_JSON,)):
             with ScoringClient(socket_path=unix_path,
-                               codec=CODEC_BINARY) as client:
+                               codec=CODEC_BINARY_V2) as client:
                 # hello answered {"codec": "json"}: stay on JSON, work
                 assert client.codec == CODEC_JSON
                 assert client.predict_batch(X) == \
@@ -364,9 +359,9 @@ class TestBinaryDaemon:
             sock = _connect(unix_path)
             with sock:
                 sock.sendall(b'{"cmd": "hello", "id": 1, '
-                             b'"codecs": ["binary-v1"]}\n')
+                             b'"codecs": ["binary-v2"]}\n')
                 assert json.loads(_recv_line(sock))["codec"] == \
-                    CODEC_BINARY
+                    CODEC_BINARY_V2
                 sock.sendall(HEADER.pack(4, 0x7F) + b"junk")
                 frame = _recv_binary_frame(sock)
                 assert frame[0] == FRAME_JSON
@@ -380,7 +375,7 @@ class TestBinaryDaemon:
         with ScoringDaemon(trained, socket_path=unix_path, workers=2):
             sock = _connect(unix_path)
             with sock:
-                sock.sendall(b'{"cmd": "hello", "codecs": ["binary-v1"]}\n')
+                sock.sendall(b'{"cmd": "hello", "codecs": ["binary-v2"]}\n')
                 _recv_line(sock)
                 sock.sendall(HEADER.pack(MAX_REQUEST_BYTES + 1,
                                          FRAME_BATCH))
@@ -395,7 +390,7 @@ class TestBinaryDaemon:
         with ScoringDaemon(trained, socket_path=unix_path,
                            workers=2) as daemon:
             with ScoringClient(socket_path=unix_path,
-                               codec=CODEC_BINARY) as client:
+                               codec=CODEC_BINARY_V2) as client:
                 client.predict_batch(X)
             with ScoringClient(socket_path=unix_path) as client:
                 client.info()
@@ -407,11 +402,11 @@ class TestBinaryDaemon:
                 if sum(section["connections"].values()) >= 2:
                     break
                 time.sleep(0.01)
-            assert section["connections"].get(CODEC_BINARY, 0) >= 1
+            assert section["connections"].get(CODEC_BINARY_V2, 0) >= 1
             assert section["connections"].get(CODEC_JSON, 0) >= 1
-            assert section["requests"].get(CODEC_BINARY, 0) >= 1
-            assert section["bytes_in"].get(CODEC_BINARY, 0) > 0
-            assert section["bytes_out"].get(CODEC_BINARY, 0) > 0
+            assert section["requests"].get(CODEC_BINARY_V2, 0) >= 1
+            assert section["bytes_in"].get(CODEC_BINARY_V2, 0) > 0
+            assert section["bytes_out"].get(CODEC_BINARY_V2, 0) > 0
 
 
 # -- binary-v2 stream frames -----------------------------------------------
@@ -519,9 +514,10 @@ class TestBinaryV2Daemon:
     @pytest.mark.parametrize("fleet_mode", [False, True])
     def test_mixed_codec_clients_byte_identical(
             self, trained, tiny_dataset, unix_path, fleet_mode):
-        """Acceptance: json + v1 + v2 clients against one daemon score
-        f32-identical inputs to identical predictions, on both the
-        threaded and the event-loop transports."""
+        """Acceptance: a json client, a binary-v2 client pipelining
+        per-row PREDICT frames and one pipelining stream frames, against
+        one daemon, score f32-identical inputs to identical predictions
+        (with and without an explicit fleet)."""
         X = _f32(tiny_dataset.matrix(trained.feature_names_))
         kwargs: dict = {"classifier": trained}
         if fleet_mode:
@@ -529,19 +525,20 @@ class TestBinaryV2Daemon:
 
             kwargs = {"fleet": ModelFleet(ModelPool(), max_batch=64,
                                           default=trained)}
-        # three concurrent clients: the threaded transport parks one
-        # worker thread per live connection
         with ScoringDaemon(socket_path=unix_path, workers=4, **kwargs):
             with ScoringClient(socket_path=unix_path) as js, \
                     ScoringClient(socket_path=unix_path,
-                                  codec=CODEC_BINARY) as v1, \
+                                  codec=CODEC_BINARY_V2) as rows, \
                     ScoringClient(socket_path=unix_path,
                                   codec=CODEC_BINARY_V2) as v2:
                 assert js.codec == CODEC_JSON
-                assert v1.codec == CODEC_BINARY
+                assert rows.codec == CODEC_BINARY_V2
                 assert v2.codec == CODEC_BINARY_V2
                 expected = js.predict_pipelined(X, window=16)
-                assert v1.predict_pipelined(X, window=16) == expected
+                # request_pipelined sends one PREDICT frame per row
+                frames = rows.request_pipelined(
+                    [{"features": list(row)} for row in X], window=16)
+                assert [f["prediction"] for f in frames] == expected
                 assert v2.predict_pipelined(X, window=16) == expected
                 assert v2.predict_batch(X) == js.predict_batch(X)
                 assert v2.predict(list(X[0])) == js.predict(list(X[0]))
@@ -641,19 +638,6 @@ class TestBinaryV2Daemon:
         finally:
             daemon.stop()
 
-    def test_v2_preference_downgrades_to_v1_server(
-            self, trained, tiny_dataset, unix_path):
-        """Against a server that only offers binary-v1, a v2-preferring
-        client lands on v1 and pipelined scoring still completes."""
-        X = _f32(tiny_dataset.matrix(trained.feature_names_))
-        with ScoringDaemon(trained, socket_path=unix_path, workers=2,
-                           codecs=(CODEC_BINARY, CODEC_JSON)):
-            with ScoringClient(socket_path=unix_path,
-                               codec=CODEC_BINARY_V2) as client:
-                assert client.codec == CODEC_BINARY
-                assert client.predict_pipelined(X) == \
-                    [int(p) for p in trained.predict_batch(X)]
-
     def test_pipelined_restart_onto_json_only_finishes_all_rows(
             self, trained, tiny_dataset, unix_path):
         """If the replacement daemon negotiates away from binary-v2
@@ -690,11 +674,11 @@ class TestReconnectRenegotiation:
         daemon.start()
         try:
             client = ScoringClient(socket_path=unix_path,
-                                   codec=CODEC_BINARY,
+                                   codec=CODEC_BINARY_V2,
                                    reconnect_retries=4)
             with client:
                 assert client.predict_pipelined(X) == expected
-                assert client.codec == CODEC_BINARY
+                assert client.codec == CODEC_BINARY_V2
                 daemon.stop()
                 daemon = ScoringDaemon(trained, socket_path=unix_path,
                                        workers=2)
@@ -702,7 +686,7 @@ class TestReconnectRenegotiation:
                 # the dropped connection is re-dialled inside the
                 # pipelined loop; the fresh connection must re-hello
                 assert client.predict_pipelined(X) == expected
-                assert client.codec == CODEC_BINARY
+                assert client.codec == CODEC_BINARY_V2
         finally:
             daemon.stop()
 
@@ -716,7 +700,7 @@ class TestReconnectRenegotiation:
         daemon.start()
         try:
             client = ScoringClient(socket_path=unix_path,
-                                   codec=CODEC_BINARY,
+                                   codec=CODEC_BINARY_V2,
                                    reconnect_retries=4)
             with client:
                 assert client.predict_batch(X) == expected
@@ -732,3 +716,59 @@ class TestReconnectRenegotiation:
     def test_unknown_codec_preference_rejected_client_side(self):
         with pytest.raises(ScoringError):
             ScoringClient(socket_path="/nonexistent", codec="zstd-9000")
+
+
+# -- hostile JSON ------------------------------------------------------------
+
+DEEP = b"[" * 100_000
+
+
+class TestHostileJson:
+    def test_deep_nesting_is_invalid_json_in_every_decoder(self):
+        _, error = JSON_CODEC.decode_request(DEEP)
+        assert error["code"] == "invalid_json"
+        _, error = BINARY_V2_CODEC.decode_request(bytes([FRAME_JSON]) + DEEP)
+        assert error["code"] == "invalid_json"
+        # client side: a ValueError, which ScoringClient surfaces as a
+        # typed ScoringError
+        with pytest.raises(ValueError):
+            JSON_CODEC.decode_response(DEEP)
+        with pytest.raises(ValueError):
+            BINARY_V2_CODEC.decode_response(bytes([FRAME_JSON]) + DEEP)
+
+    def test_null_request_is_answered(self):
+        """A JSON null is a non-object request, not a blank line."""
+        for codec, raw in ((JSON_CODEC, b"null"),
+                           (BINARY_V2_CODEC, bytes([FRAME_JSON]) + b"null")):
+            request, error = codec.decode_request(raw)
+            assert request is None
+            assert error == {"ok": False, "code": ERROR_BAD_REQUEST,
+                             "error": "request must be a JSON object"}
+
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BINARY_V2])
+    def test_deep_nesting_over_a_socket_keeps_the_daemon_serving(
+            self, trained, unix_path, codec):
+        """One line of 100k '[' draws a typed invalid_json frame, and
+        the daemon keeps answering new connections afterwards."""
+        with ScoringDaemon(trained, socket_path=unix_path, workers=2):
+            sock = _connect(unix_path)
+            with sock:
+                if codec == CODEC_JSON:
+                    sock.sendall(DEEP + b"\n")
+                    frame = json.loads(_recv_line(sock))
+                else:
+                    sock.sendall(b'{"cmd": "hello", "codecs": '
+                                 b'["binary-v2"]}\n')
+                    assert json.loads(_recv_line(sock))["codec"] == codec
+                    sock.sendall(HEADER.pack(len(DEEP), FRAME_JSON) + DEEP)
+                    raw = _recv_binary_frame(sock)
+                    assert raw[0] == FRAME_JSON
+                    frame = json.loads(raw[1:])
+                assert frame["ok"] is False
+                assert frame["code"] == "invalid_json"
+            sock = _connect(unix_path)
+            with sock:
+                sock.sendall(b'{"cmd": "health", "id": 2}\n')
+                frame = json.loads(_recv_line(sock))
+            assert frame["ok"] is True and frame["id"] == 2
+            assert frame["health"]["status"] == "serving"
