@@ -1,10 +1,26 @@
 """Python-source backend: compile a loop body to a generator function.
 
-The emitted source is a plain nested-``for`` generator that yields
-``(opcode, arg)`` tuples; loop variables are local integers and bank
-numbers are computed inline, so iterating the stream costs one generator
-resumption per instruction — the cheapest portable representation for a
-simulator that consumes millions of instructions per run.
+The emitted source is a plain nested-``for`` generator; loop variables
+are local integers and bank numbers are computed inline, so iterating
+the stream costs one generator resumption per instruction — the
+cheapest portable representation for a simulator that consumes millions
+of instructions per run.  Each segment body compiles to two forms:
+
+* :func:`compile_segment` yields every instruction as ``(opcode, arg)``.
+  The reference engine (and the trace writer) consume this form.
+* :func:`fold_segment` yields only the instructions that touch a shared
+  resource (TCDM/L2 banks, the FPUs, locks, the DMA) as
+  ``(opcode, arg, pre_delay)``.  Every run of core-local ops before one
+  (``ALU``, ``JMP``, ``NOP``, ``DIV``) becomes an inline cycle delay,
+  ``pre_delay``, and its event counts are added straight to the core's
+  counter list.  The fast engine consumes this form.
+
+Folding is exact.  A core-local op reads and writes only its own core's
+state, and no other core can observe when it runs.  So a run of them
+changes the cluster's timeline only through its summed latency, and its
+counters are plain sums.  Counts of loops with constant trip counts are
+hoisted into their parent; a loop made only of core-local ops with a
+fixed per-iteration cost folds into one multiplication.
 
 Conventions (shared with :mod:`repro.compiler.interp` and the static
 feature extractors):
@@ -62,6 +78,13 @@ _KIND_TO_OP = {
 
 #: op kinds whose constant-count macros may be merged when adjacent.
 _COALESCIBLE = (OP_ALU, OP_NOP)
+
+#: Slots of a core's counter list, shared with :mod:`repro.sim.engine`.
+#: A folded segment adds its core-local counts to the first ten and
+#: leaves the delay of its trailing core-local ops in ``SLOT_TAIL``.
+(SLOT_ALU, SLOT_JMP, SLOT_DIV, SLOT_FP, SLOT_FPDIV, SLOT_L1, SLOT_L2,
+ SLOT_NOP, SLOT_STALL, SLOT_CG, SLOT_TAIL) = range(11)
+N_SLOTS = 11
 
 #: instruction sites charged for a Compute macro when estimating code
 #: size (large macros are loops in real code, not straight-line bodies).
@@ -233,3 +256,185 @@ def compile_segment(body: tuple, memmap: MemoryMap, n_l1_banks: int,
     exec(compile(source, "<repro-codegen>", "exec"), namespace)  # noqa: S102
     return namespace["__segment__"], segment_sites(body, loop_var,
                                                    prologue_alu)
+
+
+class _Folder:
+    """Emits a folded segment body: shared-resource yields, inline delays.
+
+    The pending delay (latency of the core-local ops since the last
+    yield) is ``static`` when known at compile time, plus the runtime
+    variable ``__d`` when ``dyn`` is set (after a loop, whose trip count
+    is only known at run time).  *counts* lists passed around collect
+    the core-local counts of one loop level, per :data:`N_SLOTS` slot.
+    """
+
+    def __init__(self, memmap: MemoryMap, n_l1_banks: int, n_l2_banks: int,
+                 jump_cycles: int, div_latency: int) -> None:
+        self._memmap = memmap
+        self._banks = (n_l1_banks, n_l2_banks)
+        self._timing = (jump_cycles, div_latency)
+        #: op -> (latency per op, counter slot, stall cycles per op)
+        self._local = {
+            OP_ALU: (1, SLOT_ALU, 0),
+            OP_NOP: (1, SLOT_NOP, 0),
+            OP_JMP: (jump_cycles, SLOT_JMP, jump_cycles - 1),
+            OP_DIV: (div_latency, SLOT_DIV, div_latency - 1),
+        }
+        self.lines: list[str] = []
+        self.static = 0
+        self.dyn = False
+
+    def _sub(self) -> "_Folder":
+        return _Folder(self._memmap, *self._banks, *self._timing)
+
+    def emit(self, text: str, indent: int) -> None:
+        self.lines.append(f"{'    ' * indent}{text}")
+
+    def pending(self) -> str:
+        """Source of the pending delay."""
+        if not self.dyn:
+            return str(self.static)
+        return f"__d+{self.static}" if self.static else "__d"
+
+    def materialize(self, indent: int) -> None:
+        """Make ``__d`` hold the pending delay (before a control-flow join)."""
+        if not self.dyn:
+            self.emit(f"__d = {self.static}", indent)
+        elif self.static:
+            self.emit(f"__d += {self.static}", indent)
+        self.dyn, self.static = True, 0
+
+    def local(self, op: int, count: int, counts: list) -> None:
+        per_op, slot, stall = self._local[op]
+        # a macro op occupies the core at least one cycle (the reference
+        # engine resumes a core no earlier than the next cycle)
+        self.static += max(1, count * per_op)
+        counts[slot] += count
+        counts[SLOT_STALL] += count * stall
+
+    def shared(self, op: int, arg_src: str, indent: int) -> None:
+        self.emit(f"yield ({op}, {arg_src}, {self.pending()})", indent)
+        self.dyn, self.static = False, 0
+
+    def body(self, body: tuple, indent: int, counts: list) -> None:
+        n_l1_banks, n_l2_banks = self._banks
+        for stmt in body:
+            if isinstance(stmt, Compute):
+                op = _KIND_TO_OP[stmt.kind]
+                if op in self._local:
+                    self.local(op, stmt.count, counts)
+                else:
+                    self.shared(op, str(stmt.count), indent)
+            elif isinstance(stmt, (Load, Store)):
+                placement = self._memmap.placement(stmt.array)
+                if placement.space == "l1":
+                    op = OP_LD if isinstance(stmt, Load) else OP_ST
+                    banks = n_l1_banks
+                else:
+                    op = OP_LD2 if isinstance(stmt, Load) else OP_ST2
+                    banks = n_l2_banks
+                index = stmt.index
+                if index.is_constant:
+                    arg = str((placement.base_word + index.const) % banks)
+                else:
+                    arg = (f"({placement.base_word}+{index.to_python()})"
+                           f"%{banks}")
+                self.shared(op, arg, indent)
+            elif isinstance(stmt, Loop):
+                trip = None
+                if stmt.lower.is_constant and stmt.upper.is_constant:
+                    trip = max(0, stmt.upper.const - stmt.lower.const)
+                self.local(OP_ALU, 2, counts)  # loop setup
+                self.loop(stmt.var, stmt.lower.to_python(),
+                          stmt.upper.to_python(), stmt.body, trip, indent,
+                          counts)
+            elif isinstance(stmt, Critical):
+                packed = str(pack_lock(_lock_index(stmt.name),
+                                       self._memmap.lock_bank(stmt.name)))
+                self.shared(OP_LOCK, packed, indent)
+                self.body(stmt.body, indent, counts)
+                self.shared(OP_UNLOCK, packed, indent)
+            elif isinstance(stmt, DmaCopy):
+                self.shared(OP_DMA, str(stmt.words), indent)
+            else:
+                raise LoweringError(f"cannot lower {type(stmt).__name__} "
+                                    f"inside a loop body")
+
+    def loop(self, var: str, lo: str, hi: str, body: tuple,
+             trip: int | None, indent: int, counts: list) -> None:
+        """One counted loop: induction ALU, *body*, back branch per trip.
+
+        *trip* is the trip count when the bounds are constants.
+        """
+        n_trip = f"max(0, {hi}-{lo})"
+        per_iter = [0] * N_SLOTS
+        sub = self._sub()
+        sub.local(OP_ALU, 1, per_iter)
+        sub.body(body, 0, per_iter)
+        sub.local(OP_JMP, 1, per_iter)
+        if not sub.lines:
+            # only core-local ops, at a fixed cost per iteration
+            if trip is not None:
+                self.static += trip * sub.static
+            else:
+                total = f"{n_trip}*{sub.static}"
+                if self.static:
+                    total += f"+{self.static}"
+                self.emit(f"__d {'+=' if self.dyn else '='} {total}", indent)
+                self.dyn, self.static = True, 0
+        else:
+            per_iter = [0] * N_SLOTS
+            self.materialize(indent)
+            self.emit(f"for {var} in range({lo}, {hi}):", indent)
+            self.local(OP_ALU, 1, per_iter)  # induction
+            self.body(body, indent + 1, per_iter)
+            self.local(OP_JMP, 1, per_iter)  # back branch
+            self.materialize(indent + 1)
+        if trip is not None:
+            for slot, count in enumerate(per_iter):
+                counts[slot] += trip * count
+        elif any(per_iter):
+            self.emit(f"__n = {n_trip}", indent)
+            self.lines += _count_lines(per_iter, indent, "__n*")
+
+
+def _count_lines(counts: list, indent: int, scale: str = "") -> list[str]:
+    """Source adding *counts* (times *scale*) to the counter list."""
+    pad = "    " * indent
+    return [f"{pad}__k[{slot}] += {scale}{count}"
+            for slot, count in enumerate(counts) if count]
+
+
+def fold_segment(body: tuple, memmap: MemoryMap, n_l1_banks: int,
+                 n_l2_banks: int, jump_cycles: int, div_latency: int,
+                 loop_var: str | None = None,
+                 free_vars: tuple[str, ...] = (),
+                 prologue_alu: int = 0) -> Callable:
+    """Compile one run segment to a *folded* generator function.
+
+    Same segment as :func:`compile_segment`, but the generator takes
+    ``(__lo, __hi, *free_vars, __k)``, where ``__k`` is the core's
+    counter list (:data:`SLOT_ALU` ...).  It yields only shared-resource
+    instructions, as ``(opcode, arg, pre_delay)``: the core issues the
+    instruction ``pre_delay`` cycles after it finished the previous one.
+    Core-local counts go straight into ``__k``, and the delay of the
+    core-local ops after the last yield is left in ``__k[SLOT_TAIL]``.
+    """
+    folder = _Folder(memmap, n_l1_banks, n_l2_banks, jump_cycles,
+                     div_latency)
+    counts = [0] * N_SLOTS
+    if prologue_alu > 0:
+        folder.local(OP_ALU, prologue_alu, counts)
+    if loop_var is not None:
+        folder.loop(loop_var, "__lo", "__hi", body, None, 1, counts)
+    else:
+        folder.body(body, 1, counts)
+    params = ", ".join(["__lo", "__hi", *free_vars, "__k"])
+    lines = [f"def __segment__({params}):", *_count_lines(counts, 1),
+             *folder.lines, f"    __k[{SLOT_TAIL}] = {folder.pending()}"]
+    if not any("yield" in line for line in lines):
+        lines.append("    yield from ()")  # ensure a generator function
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<repro-codegen>", "exec"),  # noqa: S102
+         namespace)
+    return namespace["__segment__"]

@@ -208,19 +208,28 @@ def _build_samples_parallel(sample_specs, config, model, cache_dir,
                             jobs: int, progress) -> list:
     """Fan the campaign out over *jobs* worker processes.
 
-    ``Executor.map`` yields results in submission order, so the merged
+    Per-sample costs are long-tailed, so samples are handed out largest
+    payload first (longest processing time first, stable among equal
+    sizes): the big samples cannot end up queued behind the small ones
+    at the end of the campaign, and the chunks handed out last hold the
+    cheapest samples.  Chunks stay several samples long because every
+    task is a process round trip, which a rebuild from a warm simulation
+    cache (a few milliseconds per sample) would otherwise pay per
+    sample.  Results are put back in *sample_specs* order, so the merged
     sample list — and therefore the saved dataset JSON — is identical
     to a serial build's.
     """
-    tasks = [(spec, config, model, cache_dir) for spec in sample_specs]
+    order = sorted(range(len(sample_specs)),
+                   key=lambda i: -sample_specs[i].size_bytes)
+    tasks = [(sample_specs[i], config, model, cache_dir) for i in order]
     chunksize = max(1, len(tasks) // (jobs * 4))
-    samples = []
+    samples: list = [None] * len(tasks)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for idx, sample in enumerate(
-                pool.map(_build_sample_task, tasks, chunksize=chunksize)):
+        for idx, (slot, sample) in enumerate(zip(order, pool.map(
+                _build_sample_task, tasks, chunksize=chunksize))):
             if progress is not None:
                 progress(f"[{idx + 1}/{len(tasks)}] {sample.sample_id}")
-            samples.append(sample)
+            samples[slot] = sample
     return samples
 
 

@@ -7,6 +7,8 @@ global invariants:
 
 * the per-core cycle budget closes (issue + stall + cg == window);
 * both lowering backends produce identical counters;
+* the fast engine's counters equal the reference engine's, on random
+  region structures and cluster configurations too;
 * the trace -> regex -> listeners pipeline reconstructs the counters;
 * useful work (memory ops, arithmetic) is conserved across team sizes;
 * energy accounting accepts the counters and is strictly positive.
@@ -18,10 +20,19 @@ from hypothesis import strategies as st
 from repro.energy.accounting import compute_energy
 from repro.energy.model import EnergyModel
 from repro.ir import KernelBuilder, Load, Loop, Store
-from repro.ir.nodes import Compute, Critical, DmaCopy, OpKind
-from repro.ir.expr import Affine
+from repro.compiler.lowering import lower_kernel
+from repro.ir.nodes import (
+    Compute,
+    Critical,
+    DmaCopy,
+    OpKind,
+    ParallelFor,
+    Sequential,
+)
+from repro.ir.expr import Affine, var
 from repro.ir.types import DType
-from repro.sim.engine import simulate
+from repro.platform.config import ClusterConfig
+from repro.sim.engine import run_lowered, run_reference, simulate
 from repro.trace import TraceWriter
 from repro.trace.analyser import analyse_trace
 
@@ -74,6 +85,54 @@ def kernels(draw):
     return builder.build()
 
 
+@st.composite
+def programs(draw):
+    """Kernels of several regions: parallel loops (with or without the
+    join barrier), master-only sequential code, explicit barriers and
+    sequential-for loops around both, over L1 and L2 arrays."""
+    dtype = draw(st.sampled_from([DType.INT32, DType.FP32]))
+    builder = KernelBuilder("fuzz", dtype, 512)
+    builder.array("A", 64)
+    builder.array("B", 64, space=draw(st.sampled_from(["l1", "l2"])))
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        # a kernel needs a parallel region: the first one is
+        choice = draw(st.integers(min_value=0, max_value=3)) if index else 0
+        if choice == 0:
+            builder.parallel_for(
+                "i", 0, draw(st.integers(min_value=1, max_value=12)),
+                draw(bodies(("i",))), nowait=draw(st.booleans()))
+        elif choice == 1:
+            builder.sequential(draw(bodies(())))
+        elif choice == 2:
+            builder.barrier()
+        else:
+            upper = var("t") + draw(st.integers(min_value=1, max_value=6))
+            builder.sequential_for(
+                "t", 0, draw(st.integers(min_value=1, max_value=3)), [
+                    ParallelFor("i", 0, upper, draw(bodies(("t", "i")))),
+                    Sequential(draw(bodies(("t",)))),
+                ])
+    return builder.build()
+
+
+@st.composite
+def configs(draw):
+    """Cluster timings that move the engines' corner cases: FPUs private
+    to every core or shared by all, busy L2 banks, slow lock retries."""
+    return ClusterConfig(
+        n_fpus=draw(st.sampled_from([1, 2, 4, 8])),
+        l2_latency=draw(st.integers(min_value=1, max_value=16)),
+        l2_bank_occupancy=draw(st.integers(min_value=0, max_value=20)),
+        jump_cycles=draw(st.integers(min_value=1, max_value=3)),
+        div_latency=draw(st.integers(min_value=1, max_value=9)),
+        fpdiv_latency=draw(st.integers(min_value=1, max_value=13)),
+        lock_retry_cycles=draw(st.integers(min_value=0, max_value=5)),
+        fork_instrs=draw(st.integers(min_value=0, max_value=30)),
+        worker_prologue_instrs=draw(st.integers(min_value=0, max_value=9)),
+        join_instrs=draw(st.integers(min_value=0, max_value=9)),
+        barrier_wakeup_cycles=draw(st.integers(min_value=1, max_value=4)))
+
+
 class TestFuzzedKernels:
     @settings(max_examples=30, deadline=None)
     @given(kernel=kernels(), team=st.integers(min_value=1, max_value=8))
@@ -89,6 +148,24 @@ class TestFuzzedKernels:
         fast = simulate(kernel, team).as_dict()
         slow = simulate(kernel, team, backend="interp").as_dict()
         assert fast == slow
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=kernels(), team=st.integers(min_value=1, max_value=8))
+    def test_fast_engine_matches_reference(self, kernel, team):
+        config = ClusterConfig()
+        lowered = lower_kernel(kernel, team, config)
+        fast = run_lowered(lowered, config)
+        assert fast.as_dict() == run_reference(lowered, config).as_dict()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kernel=programs(), config=configs(),
+           team=st.integers(min_value=1, max_value=8))
+    def test_fast_engine_matches_reference_on_regions(self, kernel, config,
+                                                      team):
+        lowered = lower_kernel(kernel, team, config)
+        fast = run_lowered(lowered, config)
+        fast.validate()
+        assert fast.as_dict() == run_reference(lowered, config).as_dict()
 
     @settings(max_examples=15, deadline=None)
     @given(kernel=kernels(), team=st.integers(min_value=1, max_value=8))

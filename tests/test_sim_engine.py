@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.lowering import LoweredProgram, lower_kernel
 from repro.errors import SimulationError
 from repro.ir import (
     Compute,
@@ -16,8 +17,9 @@ from repro.ir import (
 )
 from repro.ir.expr import var
 from repro.ir.types import DType
+from repro.isa.opcodes import OP_LD
 from repro.platform.config import ClusterConfig
-from repro.sim.engine import simulate
+from repro.sim.engine import run_lowered, run_reference, simulate
 from tests.conftest import make_axpy, make_matmul
 
 
@@ -195,11 +197,52 @@ class TestDeterminism:
         counters.validate()
 
 
+class _Endless:
+    """A segment factory whose folded stream loads from bank 0 forever."""
+
+    @staticmethod
+    def folded(counters):
+        while True:
+            yield (OP_LD, 0, 1)
+
+
+def _endless_program(team: int) -> LoweredProgram:
+    return LoweredProgram(
+        "endless", team, folded=True,
+        programs=[[("r", _Endless(), 1)] if c < team else []
+                  for c in range(8)])
+
+
 class TestGuards:
     def test_runaway_guard(self):
         kernel = make_matmul(DType.INT32, 2048)
         with pytest.raises(SimulationError, match="exceeded"):
             simulate(kernel, 1, max_cycles=100)
+
+    @pytest.mark.parametrize("team", [1, 8])
+    def test_limit_raises_the_reference_error(self, team):
+        """Team 1 runs in the fast engine's lone-core loop, team 8 in its
+        lockstep loop; both fail exactly when the reference does."""
+        config = ClusterConfig()
+        lowered = lower_kernel(make_matmul(DType.INT32, 512), team, config)
+        window = run_reference(lowered, config).cycles
+        for limit in (100, window // 2, window - 1):
+            with pytest.raises(SimulationError, match="exceeded") as fast:
+                run_lowered(lowered, config, max_cycles=limit)
+            with pytest.raises(SimulationError) as ref:
+                run_reference(lowered, config, max_cycles=limit)
+            assert str(fast.value) == str(ref.value)
+        assert run_lowered(lowered, config,
+                           max_cycles=window).cycles == window
+
+    @pytest.mark.parametrize("team", [1, 8])
+    def test_limit_stops_an_endless_segment(self, team):
+        """The lone-core loop checks the limit itself: a segment that
+        never ends must not hang it."""
+        with pytest.raises(SimulationError,
+                           match="'endless' exceeded 1000 cycles"):
+            run_lowered(_endless_program(team), ClusterConfig(),
+                        max_cycles=1000)
 
     def test_icache_counts_positive(self):
         counters = simulate(make_axpy(DType.INT32, 512), 2)
